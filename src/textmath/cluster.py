@@ -35,6 +35,23 @@ DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
 }
 
 
+_COUNT_PARAMS = ("max_iter", "n_restarts", "stable_iters")
+
+
+def _check_param(name: str, value: Any) -> None:
+    """Reject numeric params the fitting loops cannot run with."""
+    if name in _COUNT_PARAMS:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    elif name in ("quantile", "damping"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if name == "quantile" and not 0 < value <= 1:
+            raise ValueError(f"quantile must be in (0, 1], got {value!r}")
+        if name == "damping" and not 0 <= value < 1:
+            raise ValueError(f"damping must be in [0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class ClustererSpec:
     algo: str
@@ -57,6 +74,8 @@ class ClustererSpec:
         if unknown:
             raise ValueError(f"unknown {self.algo} params: {sorted(unknown)}")
         object.__setattr__(self, "params", {**DEFAULT_PARAMS[self.algo], **self.params})
+        for name, value in self.params.items():
+            _check_param(name, value)
         if self.pca_dims is not None and self.pca_dims < 1:
             raise ValueError("pca_dims must be >= 1")
 

@@ -14,6 +14,7 @@ import logging
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -40,6 +41,7 @@ GRANULARITIES = ("document", "section", "abstract")
 MIN_TOKEN_LEN = 3
 
 _TOKEN_RE = re.compile(r"\w+")
+_PLACEHOLDER_RE = re.compile(PLACEHOLDER)
 
 
 @lru_cache(maxsize=1)
@@ -87,6 +89,11 @@ class Document:
     raw_text: str
     text_tokens: list[str]
     formulas: list[Formula]
+    # Token indexes of raw_text keyed by stopword set, built on first use by
+    # extract_surroundings; they live as long as the document does.
+    _token_indexes: dict[frozenset[str], _TokenIndex | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -117,6 +124,16 @@ class Corpus:
         return [d.id for d in self.documents]
 
 
+def _clean_token(word: str, stopwords: frozenset[str] | set[str]) -> str | None:
+    """The lowercased token, or None when the cleaning rules drop it."""
+    tok = word.lower()
+    # str.isdigit is wider than \d (it also covers forms like superscripts),
+    # and the digit rule is meant to be the strict variant.
+    if len(tok) < MIN_TOKEN_LEN or any(c.isdigit() for c in tok) or tok in stopwords:
+        return None
+    return tok
+
+
 def clean_text(raw: str, stopwords: frozenset[str] | set[str] | None = None) -> list[str]:
     """Tokenize and clean a text string.
 
@@ -130,12 +147,9 @@ def clean_text(raw: str, stopwords: frozenset[str] | set[str] | None = None) -> 
     raw = unicodedata.normalize("NFC", raw)
     out = []
     for match in _TOKEN_RE.finditer(raw):
-        tok = match.group().lower()
-        # str.isdigit is wider than \d (it also covers forms like superscripts),
-        # and the digit rule is meant to be the strict variant.
-        if len(tok) < MIN_TOKEN_LEN or any(c.isdigit() for c in tok) or tok in stopwords:
-            continue
-        out.append(tok)
+        tok = _clean_token(match.group(), stopwords)
+        if tok is not None:
+            out.append(tok)
     return out
 
 
@@ -225,6 +239,65 @@ def parse_document(
     return Document(id=id, label=label, raw_text=raw_text, text_tokens=text_tokens, formulas=formulas)
 
 
+class _TokenIndex:
+    """One tokenisation of a document's placeholder-stripped text.
+
+    ``raw[lo:hi].replace(PLACEHOLDER, "")`` equals ``stripped[a:b]`` with
+    ``a, b = self.stripped_offset(lo), self.stripped_offset(hi)``. The word
+    tokens of that window are then the whole tokens of the document that lie
+    inside it, plus the inside parts of at most two tokens cut by its edges.
+    Only valid for NFC text: substrings of NFC text are NFC, so cleaning a
+    window never re-normalizes it.
+    """
+
+    def __init__(self, stripped: str, placeholders: list[int], stopwords: frozenset[str]) -> None:
+        self.stripped = stripped
+        self.placeholders = placeholders  # raw offsets of PLACEHOLDER, ascending
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.kept: list[str] = []  # the tokens cleaning keeps, in order
+        self.kept_before: list[int] = [0]  # kept tokens among the first i tokens
+        for match in _TOKEN_RE.finditer(stripped):
+            self.starts.append(match.start())
+            self.ends.append(match.end())
+            tok = _clean_token(match.group(), stopwords)
+            if tok is not None:
+                self.kept.append(tok)
+            self.kept_before.append(len(self.kept))
+
+    def stripped_offset(self, raw_offset: int) -> int:
+        return raw_offset - bisect_left(self.placeholders, raw_offset)
+
+    def window(self, lo: int, hi: int, stopwords: frozenset[str]) -> list[str]:
+        """``clean_text(raw[lo:hi].replace(PLACEHOLDER, ""))`` for
+        ``0 <= lo <= hi <= len(raw)``."""
+        a, b = self.stripped_offset(lo), self.stripped_offset(hi)
+        first = bisect_left(self.starts, a)  # first token starting inside
+        stop = bisect_right(self.ends, b)  # one past the last token ending inside
+        if first >= stop:
+            return clean_text(self.stripped[a:b], stopwords)
+        out = []
+        if a < self.starts[first]:
+            out += clean_text(self.stripped[a : self.starts[first]], stopwords)
+        out += self.kept[self.kept_before[first] : self.kept_before[stop]]
+        if self.ends[stop - 1] < b:
+            out += clean_text(self.stripped[self.ends[stop - 1] : b], stopwords)
+        return out
+
+
+def _token_index(doc: Document, stopwords: frozenset[str]) -> _TokenIndex | None:
+    """The document's token index for ``stopwords``, built on first use;
+    None when its stripped text is not NFC."""
+    if stopwords not in doc._token_indexes:
+        stripped = doc.raw_text.replace(PLACEHOLDER, "")
+        index = None
+        if unicodedata.is_normalized("NFC", stripped):
+            placeholders = [m.start() for m in _PLACEHOLDER_RE.finditer(doc.raw_text)]
+            index = _TokenIndex(stripped, placeholders, stopwords)
+        doc._token_indexes[stopwords] = index
+    return doc._token_indexes[stopwords]
+
+
 def extract_surroundings(
     doc: Document,
     window: int = 500,
@@ -235,20 +308,28 @@ def extract_surroundings(
     For every formula that contains at least one identifier, the substring of
     ``raw_text`` within ``window`` characters on each side of the formula's
     placeholder is cleaned and the per-formula token lists are concatenated
-    in document order.
+    in document order. The window is counted in raw-text characters, in
+    which each formula is one character. A word cut by the window edge
+    contributes only its part inside the window, and words inside the
+    windows of several formulas are repeated once per window.
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    if stopwords is None:
-        stopwords = default_stopwords()
+    stopwords = default_stopwords() if stopwords is None else frozenset(stopwords)
+    index = _token_index(doc, stopwords)
+    n = len(doc.raw_text)
     out: list[str] = []
     for formula in doc.formulas:
         if not formula.identifiers:
             continue
         lo = max(0, formula.offset - window)
-        hi = min(len(doc.raw_text), formula.offset + window + 1)
-        segment = doc.raw_text[lo:hi].replace(PLACEHOLDER, "")
-        out.extend(clean_text(segment, stopwords))
+        hi = min(n, formula.offset + window + 1)
+        if index is None:
+            out.extend(clean_text(doc.raw_text[lo:hi].replace(PLACEHOLDER, ""), stopwords))
+        else:
+            # The slice bounds raw[lo:hi] resolves to; a negative hi counts from the end.
+            lo, hi, _ = slice(lo, hi).indices(n)
+            out.extend(index.window(lo, max(lo, hi), stopwords))
     return out
 
 

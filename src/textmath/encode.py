@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +129,11 @@ class EncodedMatrix:
     sample_ids: list[str]
     features: np.ndarray
     feature_names: list[str] | None = None
+    # (features the cosines were computed from, the cosines); reassigning
+    # ``features`` makes the memo stale.
+    _pair_cosines: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -146,6 +151,18 @@ class EncodedMatrix:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    def pair_cosines(self) -> np.ndarray:
+        """Cosine similarity of every unordered row pair (i < j), row-major;
+        all-zero rows have similarity 0. Computed once per features array."""
+        if self._pair_cosines is None or self._pair_cosines[0] is not self.features:
+            X = self.features
+            norms = np.linalg.norm(X, axis=1)
+            safe = np.where(norms > 0, norms, 1.0)
+            normalized = X / safe[:, None]
+            sims = normalized @ normalized.T
+            self._pair_cosines = (X, sims[np.triu_indices(X.shape[0], k=1)])
+        return self._pair_cosines[1]
 
     def to_csv(self, path: str | Path) -> None:
         """Dump as ``sample_id,f0,...,fN`` CSV plus a JSON sidecar."""

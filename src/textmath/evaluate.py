@@ -11,6 +11,7 @@ uneven.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -196,31 +197,28 @@ def _cluster_ids(assignment: ClusterAssignment | Sequence[int]) -> list[int]:
     return [int(c) for c in assignment]
 
 
-def purity(assignment: ClusterAssignment | Sequence[int], labels: Sequence[str]) -> float:
-    """Macro purity: unweighted mean over clusters of the majority-class
-    fraction within each cluster."""
+def _majority_counts(
+    assignment: ClusterAssignment | Sequence[int], labels: Sequence[str]
+) -> list[tuple[int, int]]:
+    """(majority-class count, size) per cluster, in order of first appearance."""
     cids = _cluster_ids(assignment)
     if len(cids) != len(labels):
         raise LengthMismatchError(f"{len(cids)} cluster ids vs {len(labels)} labels")
-    per_cluster: dict[int, dict[str, int]] = {}
+    per_cluster: dict[int, Counter[str]] = {}
     for c, lab in zip(cids, labels):
-        per_cluster.setdefault(c, {}).setdefault(lab, 0)
-        per_cluster[c][lab] += 1
-    fractions = [max(counts.values()) / sum(counts.values()) for counts in per_cluster.values()]
-    return float(np.mean(fractions))
+        per_cluster.setdefault(c, Counter())[lab] += 1
+    return [(max(counts.values()), sum(counts.values())) for counts in per_cluster.values()]
+
+
+def purity(assignment: ClusterAssignment | Sequence[int], labels: Sequence[str]) -> float:
+    """Macro purity: unweighted mean over clusters of the majority-class
+    fraction within each cluster."""
+    return float(np.mean([m / size for m, size in _majority_counts(assignment, labels)]))
 
 
 def weighted_purity(assignment: ClusterAssignment | Sequence[int], labels: Sequence[str]) -> float:
     """Sample-weighted purity: correct-by-majority samples over all samples."""
-    cids = _cluster_ids(assignment)
-    if len(cids) != len(labels):
-        raise LengthMismatchError(f"{len(cids)} cluster ids vs {len(labels)} labels")
-    per_cluster: dict[int, dict[str, int]] = {}
-    for c, lab in zip(cids, labels):
-        per_cluster.setdefault(c, {}).setdefault(lab, 0)
-        per_cluster[c][lab] += 1
-    majority_total = sum(max(counts.values()) for counts in per_cluster.values())
-    return majority_total / len(labels)
+    return sum(m for m, _ in _majority_counts(assignment, labels)) / len(labels)
 
 
 # --- similarity correlation -------------------------------------------------------
@@ -254,15 +252,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float((xc * yc).sum() / (sx * sy))
 
 
-def _pair_cosines(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    normalized = X / safe[:, None]
-    sims = normalized @ normalized.T
-    iu = np.triu_indices(X.shape[0], k=1)
-    return sims[iu]
-
-
 def text_math_correlation(X_text: EncodedMatrix, X_math: EncodedMatrix) -> float:
     """Pearson correlation between the two spaces' pairwise cosine
     similarities, over all unordered sample pairs."""
@@ -270,7 +259,7 @@ def text_math_correlation(X_text: EncodedMatrix, X_math: EncodedMatrix) -> float
         raise ValueError("matrices must cover the same samples in the same order")
     if X_text.n_samples < 3:
         raise ValueError("need at least 3 samples for a pair-similarity correlation")
-    return pearson(_pair_cosines(X_text.features), _pair_cosines(X_math.features))
+    return pearson(X_text.pair_cosines(), X_math.pair_cosines())
 
 
 # --- runtimes ----------------------------------------------------------------------

@@ -52,6 +52,7 @@ class TestConfigValidation:
             ({"lexicon": {"path": "x.tsv", "mode": "prepend"}}, "lexicon.mode"),
             ({"lexicon": {"path": "x.tsv", "top_n": 0}}, "lexicon.top_n"),
             ({"lexicon": {"mode": "append"}}, "lexicon"),
+            ({"clusterers": [{"algo": "kmeans", "k": 3, "params": {"max_iter": 0}}]}, "max_iter"),
         ],
     )
     def test_bad_configs_name_the_field(self, tmp_path, overrides, match):

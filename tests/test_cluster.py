@@ -41,6 +41,31 @@ class TestSpecValidation:
             with pytest.raises(ValueError):
                 ClustererSpec(algo, k=3)
 
+    @pytest.mark.parametrize(
+        "algo,k,params",
+        [
+            ("kmeans", 2, {"max_iter": 0}),
+            ("kmeans", 2, {"n_restarts": 0}),
+            ("kmeans", 2, {"max_iter": 2.5}),
+            ("gmm", 2, {"max_iter": -1}),
+            ("affinity", None, {"max_iter": True}),
+            ("affinity", None, {"stable_iters": 0}),
+            ("affinity", None, {"damping": 1.0}),
+            ("affinity", None, {"damping": -0.1}),
+            ("meanshift", None, {"quantile": 0.0}),
+            ("meanshift", None, {"quantile": 1.5}),
+            ("meanshift", None, {"quantile": "0.3"}),
+        ],
+    )
+    def test_bad_numeric_params_rejected(self, algo, k, params):
+        with pytest.raises(ValueError, match=next(iter(params))):
+            ClustererSpec(algo, k=k, params=params)
+
+    def test_boundary_params_accepted(self):
+        ClustererSpec("kmeans", k=2, params={"max_iter": 1, "n_restarts": 1})
+        ClustererSpec("affinity", params={"damping": 0.0, "stable_iters": 1})
+        ClustererSpec("meanshift", params={"quantile": 1})
+
     def test_k_exceeds_samples(self, far_blobs):
         X, _ = far_blobs
         with pytest.raises(KExceedsSamplesError):

@@ -19,7 +19,9 @@ from textmath import (
     load_corpus,
     load_corpus_jsonl,
     parse_document,
+    token_stream,
 )
+from textmath.corpus import _token_index
 from tests.conftest import formula, make_doc
 
 
@@ -185,6 +187,110 @@ class TestExtractSurroundings:
         full = clean_text(raw.replace(PLACEHOLDER, ""), frozenset())
         got = extract_surroundings(doc, window=len(raw), stopwords=frozenset())
         assert got == full * 2
+
+
+def reference_surroundings(doc, window=500, stopwords=None):
+    """extract_surroundings as one clean_text call per formula window."""
+    if stopwords is None:
+        stopwords = default_stopwords()
+    out: list[str] = []
+    for formula in doc.formulas:
+        if not formula.identifiers:
+            continue
+        lo = max(0, formula.offset - window)
+        hi = min(len(doc.raw_text), formula.offset + window + 1)
+        segment = doc.raw_text[lo:hi].replace(PLACEHOLDER, "")
+        out.extend(clean_text(segment, stopwords))
+    return out
+
+
+# Words, digits, underscores, stopwords, placeholders, a lone combining mark
+# (non-NFC after a letter) and letters whose lowercase changes length.
+_PIECES = [
+    "alpha", "Beta", "gamma", "ab", "x1", "var_2", "_", "7", "the", "and",
+    "İstanbul", "straße", "café", "\u0301", " ", "  ", ", ", ".", PLACEHOLDER, PLACEHOLDER,
+]
+
+
+@st.composite
+def surroundings_cases(draw):
+    raw = "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=40)))
+    placeholders = [i for i, c in enumerate(raw) if c == PLACEHOLDER]
+    offsets = placeholders + draw(st.lists(st.integers(0, len(raw)), max_size=3))
+    formulas = [
+        formula(operators=["+"], identifiers=["x"] if draw(st.booleans()) else [], offset=o)
+        for o in offsets
+    ]
+    # Windows that end exactly at, or one off, another placeholder, and
+    # windows narrower than one word.
+    gaps = [abs(p - q) + d for p in placeholders for q in placeholders for d in (-1, 0, 1)]
+    windows = st.integers(1, 30)
+    if any(g > 0 for g in gaps):
+        windows = st.one_of(windows, st.sampled_from([g for g in gaps if g > 0]))
+    stopwords = draw(st.sampled_from([None, frozenset(), frozenset({"alpha", "the", "and"})]))
+    doc = make_doc(
+        raw_text=raw,
+        text_tokens=clean_text(raw.replace(PLACEHOLDER, ""), stopwords),
+        formulas=formulas,
+    )
+    return doc, draw(windows), stopwords
+
+
+class TestSurroundingsIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(surroundings_cases())
+    def test_matches_reference(self, case):
+        doc, window, stopwords = case
+        twin = make_doc(
+            raw_text=doc.raw_text, text_tokens=doc.text_tokens, formulas=doc.formulas
+        )
+        want = reference_surroundings(doc, window, stopwords)
+        assert extract_surroundings(doc, window, stopwords) == want
+        assert extract_surroundings(doc, window, stopwords) == want
+        assert token_stream(doc, "textmath_surroundings", window, stopwords) == (
+            token_stream(doc, "text") + token_stream(doc, "math_surroundings", window, stopwords)
+        )
+        assert doc == twin
+        assert repr(doc) == repr(twin)
+
+    def test_index_built_once_per_stopword_set(self):
+        doc = make_doc(
+            raw_text=f"alpha beta {PLACEHOLDER} gamma",
+            formulas=[formula(identifiers=["x"], offset=11)],
+        )
+        extract_surroundings(doc, window=5)
+        extract_surroundings(doc, window=50)
+        index = _token_index(doc, default_stopwords())
+        assert index is not None
+        extract_surroundings(doc, window=5, stopwords=frozenset())
+        assert _token_index(doc, default_stopwords()) is index
+        assert len(doc._token_indexes) == 2
+
+    def test_non_nfc_text_takes_the_reference_path(self):
+        raw = f"cafe\u0301 alpha {PLACEHOLDER} beta"
+        doc = make_doc(
+            raw_text=raw, formulas=[formula(identifiers=["x"], offset=raw.index(PLACEHOLDER))]
+        )
+        assert extract_surroundings(doc, window=len(raw), stopwords=frozenset()) == [
+            "café",
+            "alpha",
+            "beta",
+        ]
+        assert _token_index(doc, frozenset()) is None
+
+    def test_index_leaves_dump_unchanged(self, tmp_path):
+        markup = (
+            "<p>Let <math><mi>x</mi><mo>=</mo><mi>y</mi></math> hold for every "
+            "bounded operator <math><mi>T</mi></math> on the space</p>"
+        )
+        docs = [parse_document(markup, "html_math", id="d0", label="a") for _ in range(2)]
+        extract_surroundings(docs[0], window=10)
+        assert docs[0]._token_indexes and not docs[1]._token_indexes
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(tmp_path / f"dump{i}.jsonl")
+            dump_corpus_jsonl(Corpus(documents=[doc], label_set=["a"]), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def write_corpus_files(tmp_path, entries, format="html_math", label_set=None, limit=None):

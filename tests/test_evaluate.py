@@ -214,6 +214,16 @@ class TestTextMathCorrelation:
             text_math_correlation(b, a), abs=1e-12
         )
 
+    def test_reassigned_features_are_not_served_stale(self):
+        rng = np.random.default_rng(7)
+        a = make_matrix(rng.normal(size=(8, 4)))
+        b = make_matrix(rng.normal(size=(8, 4)))
+        first = text_math_correlation(a, b)
+        assert a.pair_cosines() is a.pair_cosines()
+        a.features = b.features.copy()
+        assert text_math_correlation(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert first != pytest.approx(1.0, abs=1e-6)
+
     def test_sample_id_mismatch(self):
         a = make_matrix(np.eye(3), ids=["x", "y", "z"])
         b = make_matrix(np.eye(3), ids=["x", "z", "y"])
