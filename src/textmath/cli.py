@@ -35,12 +35,15 @@ from .encode import EncodingSpec, fit_encoder, parse_encoding_name
 from .errors import ConfigError, TextMathError, ZeroVarianceError
 from .evaluate import (
     EvaluationReport,
+    bag_folds,
     build_report,
     cross_validate,
-    cross_validate_bags,
+    cross_validate_bags,  # noqa: F401 -- kept importable here; perfbench/spans.py wraps it
+    encoding_folds,
     make_folds,
     normalize_runtimes,
     purity,
+    score_folds,
     text_math_correlation,
     weighted_purity,
 )
@@ -212,8 +215,11 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             record_error("encode", name, exc)
 
     clf_report = None
+    fold_accuracies: dict[str, list[float]] = {}
     if config.classifiers:
-        clf_report = _run_classification_grid(config, corpus, enc_specs, errors, written)
+        clf_report = _run_classification_grid(
+            config, corpus, enc_specs, errors, written, fold_accuracies
+        )
 
     clu_report = None
     if config.clusterers:
@@ -246,6 +252,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             "mode": config.lexicon.mode,
         },
         "cell_errors": errors,
+        "fold_accuracies": fold_accuracies,
         "files": sorted(written),
         "elapsed_seconds": time.time() - started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -265,44 +272,42 @@ def _run_classification_grid(
     enc_specs: dict[str, EncodingSpec],
     errors: list[dict[str, str]],
     written: list[str],
+    fold_accuracies: dict[str, list[float]],
 ) -> EvaluationReport:
+    """Cross-validate every classifier on each row's folds. Each row's folds
+    are encoded once and shared by its classifiers, so the runtime row times
+    classifier fit and predict only."""
     out = config.output_dir
     plan = make_folds(len(corpus.documents), config.n_folds, config.seed)
     col_names = _column_names(config.classifiers)
     cells: dict[tuple[str, str], float | None] = {}
     raw_times: dict[str, float] = {c: 0.0 for c in col_names}
 
-    rows: list[tuple[str, Any]] = [(name, ("encoding", spec)) for name, spec in enc_specs.items()]
+    rows = [(name, encoding_folds(spec, corpus, plan)) for name, spec in enc_specs.items()]
     if config.lexicon is not None:
         lex = load_lexicon(config.lexicon.path, config.lexicon.source)
         bags = [
             enrich(d, lex, config.lexicon.top_n, config.lexicon.mode).tokens
             for d in corpus.documents
         ]
-        rows.append((SEMANTIFIED_ROW[config.lexicon.mode], ("bags", bags)))
+        rows.append((SEMANTIFIED_ROW[config.lexicon.mode], bag_folds(bags, plan)))
 
-    for row_name, (kind, payload) in rows:
-        for col, clf in zip(col_names, config.classifiers):
-            start = time.perf_counter()
-            try:
-                if kind == "encoding":
-                    result = cross_validate(clf, payload, corpus, plan)
-                else:
-                    result = cross_validate_bags(
-                        clf, payload, corpus.labels, corpus.label_set, plan
-                    )
-            except Exception as exc:
+    for row_name, folds in rows:
+        outcomes = score_folds(config.classifiers, folds, corpus.labels, corpus.label_set)
+        for col, outcome in zip(col_names, outcomes):
+            cell = f"{row_name}/{col}"
+            if isinstance(outcome, Exception):
                 cells[(row_name, col)] = None
-                record_name = f"{row_name}/{col}"
                 errors.append(
-                    {"stage": "classify", "cell": record_name, "error": f"{type(exc).__name__}: {exc}"}
+                    {"stage": "classify", "cell": cell, "error": f"{type(outcome).__name__}: {outcome}"}
                 )
-            else:
-                cells[(row_name, col)] = 100.0 * result.mean_accuracy
-                confusion_path = out / f"confusion_{row_name}_{col}.csv"
-                result.confusion.to_csv(confusion_path)
-                written.append(confusion_path.name)
-            raw_times[col] += time.perf_counter() - start
+                continue
+            cells[(row_name, col)] = 100.0 * outcome.mean_accuracy
+            fold_accuracies[cell] = outcome.fold_accuracies
+            confusion_path = out / f"confusion_{row_name}_{col}.csv"
+            outcome.confusion.to_csv(confusion_path)
+            written.append(confusion_path.name)
+            raw_times[col] += outcome.fit_predict_seconds
 
     report = build_report(
         cells,

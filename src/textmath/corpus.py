@@ -23,6 +23,7 @@ from pathlib import Path
 from .errors import (
     EmptyClassError,
     MalformedMarkupError,
+    MalformedRecordError,
     ManifestError,
     MissingFileError,
     UnknownFormatError,
@@ -94,6 +95,13 @@ class Document:
     _token_indexes: dict[frozenset[str], _TokenIndex | None] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # An offset may equal len(raw_text): a formula at the very end.
+        n = len(self.raw_text)
+        for f in self.formulas:
+            if not 0 <= f.offset <= n:
+                raise ValueError(f"formula offset {f.offset} outside the text [0, {n}]")
 
 
 @dataclass
@@ -327,9 +335,7 @@ def extract_surroundings(
         if index is None:
             out.extend(clean_text(doc.raw_text[lo:hi].replace(PLACEHOLDER, ""), stopwords))
         else:
-            # The slice bounds raw[lo:hi] resolves to; a negative hi counts from the end.
-            lo, hi, _ = slice(lo, hi).indices(n)
-            out.extend(index.window(lo, max(lo, hi), stopwords))
+            out.extend(index.window(lo, hi, stopwords))
     return out
 
 
@@ -465,8 +471,8 @@ def load_corpus_jsonl(
         if not line.strip():
             continue
         rec = json.loads(line)
-        documents.append(
-            Document(
+        try:
+            doc = Document(
                 id=rec["id"],
                 label=rec["label"],
                 raw_text=rec["raw_text"],
@@ -481,7 +487,9 @@ def load_corpus_jsonl(
                     for f in rec["formulas"]
                 ],
             )
-        )
+        except ValueError as exc:
+            raise MalformedRecordError(f"{path}: document {rec['id']!r}: {exc}") from exc
+        documents.append(doc)
     if label_set is None:
         label_set = sorted({d.label for d in documents})
     return Corpus(

@@ -121,9 +121,10 @@ def token_stream(
     raise ValueError(f"unknown content {content!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class EncodedMatrix:
-    """Dense sample-by-feature matrix with provenance metadata."""
+    """Dense sample-by-feature matrix with provenance metadata. Compared by
+    identity: ``==`` on the array field would be elementwise."""
 
     spec: EncodingSpec | None
     sample_ids: list[str]
@@ -132,7 +133,7 @@ class EncodedMatrix:
     # (features the cosines were computed from, the cosines); reassigning
     # ``features`` makes the memo stale.
     _pair_cosines: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, init=False, repr=False
     )
 
     def __post_init__(self) -> None:

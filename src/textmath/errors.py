@@ -18,6 +18,10 @@ class ManifestError(TextMathError):
     """Corpus manifest is structurally invalid."""
 
 
+class MalformedRecordError(TextMathError):
+    """A record of a canonical JSONL corpus dump is invalid."""
+
+
 class MissingFileError(TextMathError):
     """A file referenced by a manifest does not exist."""
 

@@ -2,11 +2,12 @@
 matrices, text-math similarity correlation, relative runtimes, and report
 tables.
 
-Encoders are refitted on each training fold before the held-out fold is
+Encoders are refitted once per training fold before the held-out fold is
 transformed, so no vocabulary or embedding information leaks across the
-split. Purity comes in two flavors: the macro mean over clusters (headline)
-and the sample-weighted variant, which differ exactly when cluster sizes are
-uneven.
+split; every classifier in a grid row is fitted and scored on that fold's
+shared matrices. Purity comes in two flavors: the macro mean over clusters
+(headline) and the sample-weighted variant, which differ exactly when
+cluster sizes are uneven.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,6 +119,120 @@ class CrossValidationResult(NamedTuple):
     mean_accuracy: float
     fold_accuracies: list[float]
     confusion: ConfusionMatrix
+    # Wall seconds in the classifier's fit and predict calls, summed over folds.
+    fit_predict_seconds: float = 0.0
+
+
+class Fold(NamedTuple):
+    """One split of the samples and the matrices encoded for it."""
+
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    X_train: EncodedMatrix
+    X_test: EncodedMatrix
+
+
+def _splits(plan: FoldPlan, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(train indices, test indices) of each fold over ``n`` samples, in fold
+    order; the plan must cover exactly those samples."""
+    if plan.n_samples != n:
+        raise LengthMismatchError(f"plan covers {plan.n_samples} samples, got {n}")
+    everything = np.arange(n)
+    for fold in range(plan.n_folds):
+        test_idx = plan.fold_indices(fold)
+        yield np.setdiff1d(everything, test_idx), test_idx
+
+
+def encoding_folds(encoding: EncodingSpec, corpus: Corpus, plan: FoldPlan) -> Iterator[Fold]:
+    """Per fold: fit the encoder on the training documents and transform the
+    held-out ones. Folds are built as they are consumed, so only one fold's
+    encoder and matrices are alive at a time."""
+    docs = corpus.documents
+    for train_idx, test_idx in _splits(plan, len(docs)):
+        encoder, X_train = fit_encoder(
+            encoding, [docs[i] for i in train_idx], stopwords=corpus.stopwords
+        )
+        yield Fold(train_idx, test_idx, X_train, encoder.transform([docs[i] for i in test_idx]))
+        del encoder, X_train
+
+
+def bag_folds(bags: list[list[str]], plan: FoldPlan) -> Iterator[Fold]:
+    """Per fold: fit tf-idf on the training bags (e.g. enriched streams) and
+    transform both sides. Built as they are consumed, like ``encoding_folds``."""
+    # Looked up when the folds are built, so instrumentation that replaces
+    # these names in textmath.encode sees the calls.
+    from .encode import fit_tfidf, transform_tfidf
+
+    for train_idx, test_idx in _splits(plan, len(bags)):
+        train = [bags[i] for i in train_idx]
+        tfidf = fit_tfidf(train)
+        yield Fold(
+            train_idx,
+            test_idx,
+            transform_tfidf(tfidf, train),
+            transform_tfidf(tfidf, [bags[i] for i in test_idx]),
+        )
+
+
+def score_folds(
+    specs: Sequence[ClassifierSpec],
+    folds: Iterable[Fold],
+    labels: Sequence[str],
+    label_set: list[str],
+) -> list[CrossValidationResult | Exception]:
+    """Fit and score every classifier on each fold, in fold order; accuracies
+    are averaged unweighted over folds.
+
+    Returns one result or one exception per spec. A spec whose fit or
+    prediction raises keeps that first exception and sits out the later
+    folds; an exception while building a fold goes to every spec still in.
+    No further fold is built once every spec has failed.
+    """
+    failures: list[Exception | None] = [None] * len(specs)
+    fold_accuracies: list[list[float]] = [[] for _ in specs]
+    confusions = [ConfusionMatrix.empty(label_set) for _ in specs]
+    seconds = [0.0] * len(specs)
+    try:
+        for fold in folds:
+            y_train = [labels[i] for i in fold.train_idx]
+            y_test = [labels[i] for i in fold.test_idx]
+            for s, spec in enumerate(specs):
+                if failures[s] is not None:
+                    continue
+                try:
+                    start = time.perf_counter()
+                    y_pred = predict(
+                        fit_classifier(spec, fold.X_train, y_train, label_set=label_set),
+                        fold.X_test,
+                    )
+                    seconds[s] += time.perf_counter() - start
+                    fold_accuracies[s].append(accuracy_score(y_test, y_pred))
+                    confusions[s].add(y_test, y_pred)
+                except Exception as exc:  # the cell fails, the other specs go on
+                    failures[s] = exc
+            del fold  # the next fold is built without this one alive
+            if all(f is not None for f in failures):
+                break
+    except Exception as exc:  # building the fold failed
+        failures = [exc if f is None else f for f in failures]
+    return [
+        failure
+        if failure is not None
+        else CrossValidationResult(
+            mean_accuracy=float(np.mean(accs)),
+            fold_accuracies=accs,
+            confusion=confusion,
+            fit_predict_seconds=secs,
+        )
+        for failure, accs, confusion, secs in zip(failures, fold_accuracies, confusions, seconds)
+    ]
+
+
+def _single_result(outcomes: list[CrossValidationResult | Exception]) -> CrossValidationResult:
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def cross_validate(
@@ -128,29 +243,8 @@ def cross_validate(
 ) -> CrossValidationResult:
     """Per fold: fit encoder and classifier on the training side, score the
     held-out side; accuracies averaged unweighted over folds."""
-    docs = corpus.documents
-    if plan.n_samples != len(docs):
-        raise LengthMismatchError(f"plan covers {plan.n_samples} samples, corpus has {len(docs)}")
-    labels = corpus.labels
-    confusion = ConfusionMatrix.empty(corpus.label_set)
-    fold_accuracies = []
-    for fold in range(plan.n_folds):
-        test_idx = plan.fold_indices(fold)
-        train_idx = np.setdiff1d(np.arange(len(docs)), test_idx)
-        train_docs = [docs[i] for i in train_idx]
-        test_docs = [docs[i] for i in test_idx]
-        y_train = [labels[i] for i in train_idx]
-        y_test = [labels[i] for i in test_idx]
-        encoder, X_train = fit_encoder(encoding, train_docs, stopwords=corpus.stopwords)
-        X_test = encoder.transform(test_docs)
-        model = fit_classifier(spec, X_train, y_train, label_set=corpus.label_set)
-        y_pred = predict(model, X_test)
-        fold_accuracies.append(accuracy_score(y_test, y_pred))
-        confusion.add(y_test, y_pred)
-    return CrossValidationResult(
-        mean_accuracy=float(np.mean(fold_accuracies)),
-        fold_accuracies=fold_accuracies,
-        confusion=confusion,
+    return _single_result(
+        score_folds([spec], encoding_folds(encoding, corpus, plan), corpus.labels, corpus.label_set)
     )
 
 
@@ -163,29 +257,9 @@ def cross_validate_bags(
 ) -> CrossValidationResult:
     """Cross-validate tf-idf over pre-built token bags (e.g. enriched
     streams), refitting the vocabulary per training fold."""
-    from .encode import fit_tfidf, transform_tfidf
-
     if len(bags) != len(labels):
         raise LengthMismatchError(f"{len(bags)} bags vs {len(labels)} labels")
-    confusion = ConfusionMatrix.empty(label_set)
-    fold_accuracies = []
-    for fold in range(plan.n_folds):
-        test_idx = plan.fold_indices(fold)
-        train_idx = np.setdiff1d(np.arange(len(bags)), test_idx)
-        tfidf = fit_tfidf([bags[i] for i in train_idx])
-        X_train = transform_tfidf(tfidf, [bags[i] for i in train_idx])
-        X_test = transform_tfidf(tfidf, [bags[i] for i in test_idx])
-        y_train = [labels[i] for i in train_idx]
-        y_test = [labels[i] for i in test_idx]
-        model = fit_classifier(spec, X_train, y_train, label_set=label_set)
-        y_pred = predict(model, X_test)
-        fold_accuracies.append(accuracy_score(y_test, y_pred))
-        confusion.add(y_test, y_pred)
-    return CrossValidationResult(
-        mean_accuracy=float(np.mean(fold_accuracies)),
-        fold_accuracies=fold_accuracies,
-        confusion=confusion,
-    )
+    return _single_result(score_folds([spec], bag_folds(bags, plan), labels, label_set))
 
 
 # --- purity ---------------------------------------------------------------------

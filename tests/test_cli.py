@@ -1,10 +1,14 @@
 """Experiment configs, the grid driver, and the command-line interface."""
+import csv
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import textmath
+from textmath import evaluate
 from textmath.cli import load_experiment_config, main, run_experiment
 from textmath.errors import ConfigError
 
@@ -189,6 +193,153 @@ class TestRunExperiment:
         rows = {row for row, _ in report.cells}
         assert "semantified_tfidf" in rows
         assert report.cells[("semantified_tfidf", "knn")] is not None
+
+
+@pytest.fixture(scope="module")
+def lexicon_grid(tmp_path_factory):
+    """A tf-idf row, an embedding row and the semantified row under three
+    classifiers, run twice with the same seed."""
+    from textmath import load_corpus
+    from textmath.synth import class_lexicon_tsv
+
+    base = tmp_path_factory.mktemp("lexicon_grid")
+    class_lexicon_tsv(load_corpus(MINI_MANIFEST), base / "lex.tsv")
+    runs = []
+    for out in ("out", "rerun"):
+        config = load_experiment_config(
+            write_config(
+                base,
+                output_dir=out,
+                encodings=["text_tfidf", "text_embedding"],
+                classifiers=["logreg", "knn", "dectree"],
+                clusterers=[],
+                n_folds=3,
+                embedding_params={"size": 8, "window": 2, "min_count": 1, "epochs": 2},
+                lexicon={"path": "lex.tsv", "top_n": 2, "mode": "append"},
+            )
+        )
+        runs.append((config, run_experiment(config)))
+    return runs
+
+
+def read_grid(path):
+    with path.open(encoding="utf-8", newline="") as fh:
+        return {row["encoding"]: row for row in csv.DictReader(fh)}
+
+
+class TestClassificationGrid:
+    def test_cells_match_one_classifier_cross_validation(self, lexicon_grid, tmp_path):
+        from textmath import (
+            cross_validate,
+            cross_validate_bags,
+            enrich,
+            load_corpus,
+            load_lexicon,
+            make_folds,
+            parse_encoding_name,
+        )
+        from textmath.embedding import EmbeddingParams
+
+        config, report = lexicon_grid[0]
+        corpus = load_corpus(config.corpus_manifest)
+        plan = make_folds(len(corpus.documents), config.n_folds, config.seed)
+        emb = EmbeddingParams(**{"seed": config.seed, **config.embedding_params})
+        lex = load_lexicon(config.lexicon.path)
+        bags = [enrich(d, lex, config.lexicon.top_n, "append").tokens for d in corpus.documents]
+        oracles = {}
+        for clf in config.classifiers:
+            for name in config.encodings:
+                encoding = parse_encoding_name(name, emb)
+                oracles[(name, clf.algo)] = cross_validate(clf, encoding, corpus, plan)
+            oracles[("semantified_tfidf", clf.algo)] = cross_validate_bags(
+                clf, bags, corpus.labels, corpus.label_set, plan
+            )
+        rows = [*config.encodings, "semantified_tfidf"]
+        cols = [clf.algo for clf in config.classifiers]
+        assert list(report.cells) == [(row, col) for row in rows for col in cols]
+        for (row, col), oracle in oracles.items():
+            assert report.cells[(row, col)] == 100.0 * oracle.mean_accuracy
+            oracle.confusion.to_csv(tmp_path / "oracle.csv")
+            written = config.output_dir / f"confusion_{row}_{col}.csv"
+            assert written.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_record_holds_every_cells_fold_accuracies(self, lexicon_grid):
+        config, report = lexicon_grid[0]
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        grid = read_grid(config.output_dir / "report_classification.csv")
+        assert list(record["fold_accuracies"]) == [f"{r}/{c}" for r, c in report.cells]
+        for cell, accuracies in record["fold_accuracies"].items():
+            row, col = cell.split("/")
+            assert len(accuracies) == config.n_folds
+            assert f"{100.0 * np.mean(accuracies):.6f}" == grid[row][col]
+
+    def test_rerun_writes_identical_confusions(self, lexicon_grid):
+        (first, _), (second, _) = lexicon_grid
+        names = sorted(p.name for p in first.output_dir.glob("confusion_*.csv"))
+        assert len(names) == 9
+        assert names == sorted(p.name for p in second.output_dir.glob("confusion_*.csv"))
+        for name in names + ["report_classification.csv"]:
+            assert (first.output_dir / name).read_bytes() == (second.output_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("classifiers", [["knn"], ["logreg", "knn", "dectree"]])
+    def test_each_row_is_encoded_once_per_fold(self, tmp_path, monkeypatch, classifiers):
+        fitted = []
+        original = evaluate.fit_encoder
+
+        def counting(spec, docs, stopwords=None):
+            fitted.append(spec.name)
+            return original(spec, docs, stopwords=stopwords)
+
+        monkeypatch.setattr(evaluate, "fit_encoder", counting)
+        config = load_experiment_config(
+            write_config(tmp_path, classifiers=classifiers, clusterers=[], n_folds=3)
+        )
+        run_experiment(config)
+        assert Counter(fitted) == {"text_tfidf": 3, "math_id_tfidf": 3}
+
+    def test_classifier_failing_in_one_fold_empties_only_its_cell(self, tmp_path, monkeypatch):
+        knn_fits = []
+        original = evaluate.fit_classifier
+
+        def flaky(spec, X, y, label_set=None):
+            if spec.algo == "knn":
+                knn_fits.append(spec)
+                if len(knn_fits) == 2:
+                    raise RuntimeError("knn broke in fold 1")
+            return original(spec, X, y, label_set=label_set)
+
+        monkeypatch.setattr(evaluate, "fit_classifier", flaky)
+        config = load_experiment_config(write_config(tmp_path, clusterers=[], n_folds=3))
+        report = run_experiment(config)
+        empty = [cell for cell, value in report.cells.items() if value is None]
+        assert empty == [("text_tfidf", "knn")]
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        assert record["cell_errors"] == [
+            {"stage": "classify", "cell": "text_tfidf/knn", "error": "RuntimeError: knn broke in fold 1"}
+        ]
+        assert "text_tfidf/knn" not in record["fold_accuracies"]
+        assert len(knn_fits) == 2 + 3  # no fit in its row's last fold
+
+    def test_failing_encoder_empties_its_row(self, tmp_path, monkeypatch):
+        original = evaluate.fit_encoder
+
+        def broken(spec, docs, stopwords=None):
+            if spec.content == "math_id":
+                raise RuntimeError("no math")
+            return original(spec, docs, stopwords=stopwords)
+
+        monkeypatch.setattr(evaluate, "fit_encoder", broken)
+        config = load_experiment_config(write_config(tmp_path, clusterers=[], n_folds=3))
+        report = run_experiment(config)
+        assert [c for c, v in report.cells.items() if v is None] == [
+            ("math_id_tfidf", "logreg"),
+            ("math_id_tfidf", "knn"),
+        ]
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        assert record["cell_errors"] == [
+            {"stage": "classify", "cell": f"math_id_tfidf/{col}", "error": "RuntimeError: no math"}
+            for col in ("logreg", "knn")
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from textmath import (
     Corpus,
     EmptyClassError,
     MalformedMarkupError,
+    MalformedRecordError,
     MissingFileError,
     UnknownFormatError,
     clean_text,
@@ -152,6 +153,17 @@ class TestExtractSurroundings:
     def test_no_formulas(self):
         doc = make_doc(raw_text="alpha beta gamma")
         assert extract_surroundings(doc) == []
+
+    @pytest.mark.parametrize("offset", [-20, -1, len("alpha beta gamma") + 1])
+    def test_offset_outside_text_rejected(self, offset):
+        # a negative offset used to select text counted from the end
+        with pytest.raises(ValueError, match="outside the text"):
+            make_doc(raw_text="alpha beta gamma", formulas=[formula(identifiers=["x"], offset=offset)])
+
+    def test_offset_at_text_end_accepted(self):
+        raw = f"alpha beta {PLACEHOLDER}"
+        doc = make_doc(raw_text=raw, formulas=[formula(identifiers=["x"], offset=len(raw))])
+        assert extract_surroundings(doc, window=6, stopwords=frozenset()) == ["beta"]
 
     def test_operator_only_formula_skipped(self):
         doc = make_doc(
@@ -384,3 +396,22 @@ class TestJsonlRoundTrip:
         dump_corpus_jsonl(corpus, path)
         back = load_corpus_jsonl(path, label_set=["a"])
         assert back.documents == corpus.documents
+
+    def test_offset_outside_text_names_the_document(self, tmp_path, capsys):
+        from textmath.cli import main
+
+        record = {
+            "id": "bad-doc",
+            "label": "a",
+            "raw_text": "alpha beta gamma",
+            "text_tokens": ["alpha", "beta", "gamma"],
+            "formulas": [{"operators": [], "identifiers": ["x"], "offset": -20, "order": "i"}],
+        }
+        path = tmp_path / "dump.jsonl"
+        path.write_text(json.dumps(record) + "\n", "utf-8")
+        with pytest.raises(MalformedRecordError, match="'bad-doc'.*offset -20"):
+            load_corpus_jsonl(path)
+        code = main(["encode", str(path), "--encoding", "math_surroundings_tfidf",
+                     "--output", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "bad-doc" in capsys.readouterr().err

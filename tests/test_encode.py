@@ -182,6 +182,12 @@ class TestEncodedMatrix:
                 features=np.zeros((2, 2)),
             )
 
+    def test_equality_is_identity_and_does_not_raise(self):
+        m1, m2 = make_matrix(np.eye(2)), make_matrix(np.eye(2))
+        assert m1 == m1
+        assert (m1 == m2) is False
+        assert m1 != m2
+
     def test_csv_round_trip_values(self, tmp_path):
         m = make_matrix(np.array([[0.25, -1.5], [1e-17, 3.0]]), ids=["a", "b"])
         path = tmp_path / "m.csv"

@@ -27,7 +27,10 @@ from textmath import (
     text_math_correlation,
     weighted_purity,
 )
-from textmath.evaluate import normalize_runtimes
+from textmath import evaluate
+from textmath.classify import fit_classifier, predict
+from textmath.encode import fit_encoder, fit_tfidf, transform_tfidf
+from textmath.evaluate import bag_folds, encoding_folds, normalize_runtimes, score_folds
 from tests.conftest import make_matrix
 
 
@@ -368,3 +371,155 @@ class TestCrossValidate:
             plan,
         )
         assert result.mean_accuracy == 1.0
+
+
+def reference_cross_validate(spec, plan, labels, label_set, encode_fold):
+    """The per-classifier fold loop: every fold re-encodes, then fits and
+    scores one classifier. ``encode_fold(train_idx, test_idx)`` returns
+    (X_train, X_test)."""
+    confusion = ConfusionMatrix.empty(label_set)
+    accuracies = []
+    for fold in range(plan.n_folds):
+        test_idx = plan.fold_indices(fold)
+        train_idx = np.setdiff1d(np.arange(plan.n_samples), test_idx)
+        X_train, X_test = encode_fold(train_idx, test_idx)
+        model = fit_classifier(spec, X_train, [labels[i] for i in train_idx], label_set=label_set)
+        y_pred = predict(model, X_test)
+        y_test = [labels[i] for i in test_idx]
+        accuracies.append(accuracy_score(y_test, y_pred))
+        confusion.add(y_test, y_pred)
+    return float(np.mean(accuracies)), accuracies, confusion.counts
+
+
+def assert_same_result(result, reference):
+    mean, accuracies, counts = reference
+    assert result.mean_accuracy == mean
+    assert result.fold_accuracies == accuracies
+    np.testing.assert_array_equal(result.confusion.counts, counts)
+
+
+class TestSharedFolds:
+    SPECS = [ClassifierSpec("logreg"), ClassifierSpec("knn"), ClassifierSpec("dectree")]
+
+    def test_every_spec_matches_the_per_classifier_loop(self, small_corpus):
+        docs, labels = small_corpus.documents, small_corpus.labels
+        encoding = EncodingSpec("textmath_opid", "tfidf")
+        plan = make_folds(len(docs), 4, seed=5)
+
+        def encode_fold(train_idx, test_idx):
+            encoder, X_train = fit_encoder(
+                encoding, [docs[i] for i in train_idx], stopwords=small_corpus.stopwords
+            )
+            return X_train, encoder.transform([docs[i] for i in test_idx])
+
+        outcomes = score_folds(
+            self.SPECS, encoding_folds(encoding, small_corpus, plan), labels, small_corpus.label_set
+        )
+        for spec, outcome in zip(self.SPECS, outcomes):
+            reference = reference_cross_validate(
+                spec, plan, labels, small_corpus.label_set, encode_fold
+            )
+            assert_same_result(outcome, reference)
+            assert_same_result(cross_validate(spec, encoding, small_corpus, plan), reference)
+            assert outcome.fit_predict_seconds > 0.0
+
+    def test_bags_match_the_per_classifier_loop(self, small_corpus):
+        bags = [d.text_tokens for d in small_corpus.documents]
+        labels = small_corpus.labels
+        plan = make_folds(len(bags), 3, seed=2)
+
+        def encode_fold(train_idx, test_idx):
+            tfidf = fit_tfidf([bags[i] for i in train_idx])
+            return (
+                transform_tfidf(tfidf, [bags[i] for i in train_idx]),
+                transform_tfidf(tfidf, [bags[i] for i in test_idx]),
+            )
+
+        for spec, outcome in zip(
+            self.SPECS, score_folds(self.SPECS, bag_folds(bags, plan), labels, small_corpus.label_set)
+        ):
+            reference = reference_cross_validate(
+                spec, plan, labels, small_corpus.label_set, encode_fold
+            )
+            assert_same_result(outcome, reference)
+            assert_same_result(
+                cross_validate_bags(spec, bags, labels, small_corpus.label_set, plan), reference
+            )
+
+    @staticmethod
+    def failing_fit(monkeypatch, algo, call):
+        """Make ``fit_classifier`` raise on the ``call``-th fit of ``algo``
+        (1-based); returns the list of algos fitted, in order."""
+        fitted = []
+
+        def fit(spec, X, y, label_set=None):
+            fitted.append(spec.algo)
+            if spec.algo == algo and fitted.count(algo) == call:
+                raise RuntimeError(f"{algo} broke")
+            return fit_classifier(spec, X, y, label_set=label_set)
+
+        monkeypatch.setattr(evaluate, "fit_classifier", fit)
+        return fitted
+
+    def test_failing_spec_sits_out_later_folds(self, small_corpus, monkeypatch):
+        fitted = self.failing_fit(monkeypatch, "knn", call=2)
+        plan = make_folds(len(small_corpus.documents), 4, seed=0)
+        bags = [d.text_tokens for d in small_corpus.documents]
+        knn, logreg = score_folds(
+            [ClassifierSpec("knn"), ClassifierSpec("logreg")],
+            bag_folds(bags, plan),
+            small_corpus.labels,
+            small_corpus.label_set,
+        )
+        assert str(knn) == "knn broke"
+        assert len(logreg.fold_accuracies) == 4
+        assert fitted == ["knn", "logreg", "knn", "logreg", "logreg", "logreg"]
+
+    def test_fold_construction_error_goes_to_every_live_spec(self, small_corpus, monkeypatch):
+        self.failing_fit(monkeypatch, "knn", call=1)
+        plan = make_folds(len(small_corpus.documents), 4, seed=0)
+        good = next(bag_folds([d.text_tokens for d in small_corpus.documents], plan))
+        built = []
+
+        def folds():
+            built.append(0)
+            yield good
+            built.append(1)
+            raise RuntimeError("encoder broke")
+
+        outcomes = score_folds(
+            [ClassifierSpec("knn"), ClassifierSpec("logreg"), ClassifierSpec("dectree")],
+            folds(),
+            small_corpus.labels,
+            small_corpus.label_set,
+        )
+        assert [str(o) for o in outcomes] == ["knn broke", "encoder broke", "encoder broke"]
+        assert outcomes[1] is outcomes[2]
+        assert built == [0, 1]
+
+    def test_no_fold_is_built_once_every_spec_failed(self, small_corpus, monkeypatch):
+        self.failing_fit(monkeypatch, "knn", call=1)
+        plan = make_folds(len(small_corpus.documents), 4, seed=0)
+        built = []
+
+        def folds():
+            for fold in bag_folds([d.text_tokens for d in small_corpus.documents], plan):
+                built.append(fold)
+                yield fold
+
+        (outcome,) = score_folds(
+            [ClassifierSpec("knn")], folds(), small_corpus.labels, small_corpus.label_set
+        )
+        assert str(outcome) == "knn broke"
+        assert len(built) == 1
+
+    def test_plan_must_cover_every_sample(self, small_corpus):
+        plan = make_folds(len(small_corpus.documents) - 1, 3, seed=0)
+        with pytest.raises(LengthMismatchError):
+            cross_validate(ClassifierSpec("knn"), EncodingSpec("text", "tfidf"), small_corpus, plan)
+        # a bag the plan does not cover would never be held out
+        bags = [d.text_tokens for d in small_corpus.documents]
+        with pytest.raises(LengthMismatchError):
+            cross_validate_bags(
+                ClassifierSpec("knn"), bags, small_corpus.labels, small_corpus.label_set, plan
+            )

@@ -1,10 +1,15 @@
-"""The names the benchmark in ``perfbench/`` imports from the package.
+"""The names the benchmark in ``perfbench/`` imports from the package, and
+one full benchmark run.
 
 The benchmark wraps package functions by name and imports workload helpers
 from it. If one of them moves, a benchmark run fails before it prints its
-result line, so these tests catch the move first.
+result line, so these tests catch the move first. A run can also fail its
+own output checks or print a malformed result line; the smoke run catches
+those.
 """
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,3 +54,22 @@ def test_workload_set_up_and_input_size(perfbench, tmp_path):
     size = workloads.input_size(config, corpus)
     assert size["docs"] == len(corpus.documents)
     assert set(size["vocabulary"]) == set(config.encodings)
+
+
+def test_one_benchmark_run_passes_its_checks():
+    """grid_tfidf with the minimum two calls (about 10 s): the classification
+    grid, the semantified row, clustering and the correlation table."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "grid_tfidf",
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    lines = proc.stdout.strip().splitlines()
+    assert any(line.endswith("checks passed") for line in lines), proc.stdout[-3000:]
+    result = json.loads(lines[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

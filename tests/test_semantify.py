@@ -2,6 +2,7 @@
 import pytest
 
 from textmath import Lexicon, enrich, enrich_stream, load_lexicon
+from textmath.corpus import PLACEHOLDER
 from textmath.errors import MalformedLineError
 from tests.conftest import formula, make_doc
 
@@ -105,6 +106,7 @@ class TestEnrich:
     def test_append_token_count(self, physics_lexicon):
         doc = make_doc(
             id="p1",
+            raw_text=PLACEHOLDER * 2,
             text_tokens=["base"],
             formulas=[
                 formula(["="], ["E"], offset=0),
