@@ -22,7 +22,7 @@ from . import __version__
 from .classify import ALGOS as CLASSIFIER_ALGOS
 from .classify import ClassifierSpec
 from .cluster import ALGOS as CLUSTERER_ALGOS
-from .cluster import ClustererSpec, fit_predict_clusterer, dump_assignment
+from .cluster import ClusterAssignment, ClustererSpec, dump_assignment, fit_predict_clusterer
 from .corpus import (
     GRANULARITIES,
     Corpus,
@@ -222,8 +222,11 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         )
 
     clu_report = None
+    cluster_diagnostics: dict[str, dict[str, Any]] = {}
     if config.clusterers:
-        clu_report = _run_clustering_grid(config, corpus, matrices, errors, written)
+        clu_report = _run_clustering_grid(
+            config, corpus, matrices, errors, written, cluster_diagnostics
+        )
 
     _write_correlations(config, matrices, errors, written)
 
@@ -253,6 +256,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         },
         "cell_errors": errors,
         "fold_accuracies": fold_accuracies,
+        "cluster_diagnostics": cluster_diagnostics,
         "files": sorted(written),
         "elapsed_seconds": time.time() - started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -320,13 +324,36 @@ def _run_classification_grid(
     return report
 
 
+def _cluster_summary(assignment: ClusterAssignment) -> dict[str, Any]:
+    """A clustering cell's cluster count and convergence scalars; the
+    histories stay in the assignment sidecar."""
+    diag = assignment.diagnostics
+    summary: dict[str, Any] = {"n_clusters": assignment.n_clusters}
+    algo = assignment.spec.algo
+    if algo == "kmeans":
+        summary["iterations"] = diag["iterations"]
+    elif algo == "gmm":
+        summary["converged"] = diag["converged"]
+        summary["iterations"] = len(diag["loglik_history"]) - 1
+    elif algo == "affinity":
+        summary["converged"] = diag["converged"]
+        summary["iterations"] = diag["iterations"]
+    elif algo == "meanshift":
+        summary["bandwidth"] = diag["bandwidth"]
+        summary["modes"] = diag["modes"]
+    return summary
+
+
 def _run_clustering_grid(
     config: ExperimentConfig,
     corpus: Corpus,
     matrices: dict[str, Any],
     errors: list[dict[str, str]],
     written: list[str],
+    cluster_diagnostics: dict[str, dict[str, Any]],
 ) -> EvaluationReport:
+    """Fit every clusterer on each row's full-corpus matrix. The runtime row
+    times ``fit_predict_clusterer`` only, over the cells that succeeded."""
     out = config.output_dir
     col_names = _column_names(config.clusterers)
     cells: dict[tuple[str, str], float | None] = {}
@@ -335,11 +362,13 @@ def _run_clustering_grid(
     for enc_name in config.encodings:
         matrix = matrices.get(enc_name)
         for col, spec in zip(col_names, config.clusterers):
-            start = time.perf_counter()
+            cell = f"{enc_name}/{col}"
             try:
                 if matrix is None:
                     raise TextMathError("encoding unavailable")
+                start = time.perf_counter()
                 assignment = fit_predict_clusterer(spec, matrix)
+                seconds = time.perf_counter() - start
                 macro = purity(assignment, corpus.labels)
                 assignment.diagnostics["macro_purity"] = macro
                 assignment.diagnostics["weighted_purity"] = weighted_purity(
@@ -348,18 +377,15 @@ def _run_clustering_grid(
             except Exception as exc:
                 cells[(enc_name, col)] = None
                 errors.append(
-                    {
-                        "stage": "cluster",
-                        "cell": f"{enc_name}/{col}",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
+                    {"stage": "cluster", "cell": cell, "error": f"{type(exc).__name__}: {exc}"}
                 )
             else:
                 cells[(enc_name, col)] = 100.0 * macro
+                raw_times[col] += seconds
+                cluster_diagnostics[cell] = _cluster_summary(assignment)
                 dump_path = out / f"assignments_{enc_name}_{col}.csv"
                 dump_assignment(assignment, dump_path)
                 written += [dump_path.name, dump_path.name + ".json"]
-            raw_times[col] += time.perf_counter() - start
 
     report = build_report(
         cells,

@@ -107,20 +107,25 @@ def _dense_relabel(raw: np.ndarray) -> tuple[list[int], int]:
     return out, len(mapping)
 
 
-def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at 0."""
-    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * X @ Y.T
+def _sq_dists(X: np.ndarray, Y: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clipped at 0. ``xx`` holds X's
+    squared row norms, for callers that measure the same X many times."""
+    if xx is None:
+        xx = (X * X).sum(axis=1)
+    d2 = xx[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * X @ Y.T
     return np.clip(d2, 0.0, None)
 
 
 # --- k-means ----------------------------------------------------------------
 
 
-def _kmeans_pp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_centers(
+    X: np.ndarray, k: int, rng: np.random.Generator, xx: np.ndarray
+) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = _sq_dists(X, centers[:1]).ravel()
+    d2 = _sq_dists(X, centers[:1], xx).ravel()
     for c in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -129,24 +134,27 @@ def _kmeans_pp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             r = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             centers[c] = X[min(idx, n - 1)]
-        d2 = np.minimum(d2, _sq_dists(X, centers[c : c + 1]).ravel())
+        d2 = np.minimum(d2, _sq_dists(X, centers[c : c + 1], xx).ravel())
     return centers
 
 
 def _lloyd(
-    X: np.ndarray, centers: np.ndarray, max_iter: int
+    X: np.ndarray, centers: np.ndarray, max_iter: int, xx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[float], int]:
+    """Lloyd iterations. The distances to each new set of centres are
+    computed once; they give that step's inertia and the next assignment."""
     k = centers.shape[0]
+    rows = np.arange(X.shape[0])
     assign = np.full(X.shape[0], -1, dtype=np.intp)
     history: list[float] = []
+    d2 = _sq_dists(X, centers, xx)
     for it in range(max_iter):
-        d2 = _sq_dists(X, centers)
         new_assign = np.argmin(d2, axis=1)
         # Empty clusters grab the point currently worst-served, lowest
         # cluster index first.
         for c in range(k):
             if not np.any(new_assign == c):
-                point_d2 = d2[np.arange(len(new_assign)), new_assign]
+                point_d2 = d2[rows, new_assign]
                 worst = int(np.argmax(point_d2))
                 new_assign[worst] = c
                 d2[worst, :] = 0.0
@@ -157,9 +165,8 @@ def _lloyd(
             members = assign == c
             if members.any():
                 centers[c] = X[members].mean(axis=0)
-        history.append(
-            float(_sq_dists(X, centers)[np.arange(X.shape[0]), assign].sum())
-        )
+        d2 = _sq_dists(X, centers, xx)
+        history.append(float(d2[rows, assign].sum()))
     return assign, centers, history, it + 1
 
 
@@ -167,10 +174,11 @@ def _fit_kmeans(
     X: np.ndarray, k: int, params: dict[str, Any], seed: int
 ) -> tuple[np.ndarray, dict[str, Any]]:
     best: tuple[np.ndarray, np.ndarray, list[float], int] | None = None
+    xx = (X * X).sum(axis=1)
     for ss in np.random.SeedSequence(seed).spawn(params["n_restarts"]):
         rng = np.random.default_rng(ss)
-        centers = _kmeans_pp_centers(X, k, rng)
-        assign, centers, history, iters = _lloyd(X, centers.copy(), params["max_iter"])
+        centers = _kmeans_pp_centers(X, k, rng, xx)
+        assign, centers, history, iters = _lloyd(X, centers.copy(), params["max_iter"], xx)
         if best is None or history[-1] < best[2][-1]:
             best = (assign, centers, history, iters)
     assign, centers, history, iters = best
@@ -188,8 +196,17 @@ def _fit_kmeans(
 def _fit_agglomerative(X: np.ndarray, k: int) -> np.ndarray:
     """Bottom-up Ward merging via the Lance-Williams recurrence.
 
-    Merge cost between singletons is the squared Euclidean distance; ties
-    pick the lexicographically smallest active index pair.
+    Merge cost between singletons is the squared Euclidean distance; each
+    step merges the cheapest active pair, and ties pick the
+    lexicographically smallest index pair (i, j), i < j. Every active row r
+    caches ``nn[r]``, the first active column c > r of least cost, and
+    ``nd[r]``, that cost, so a step reads the pair from the first minimum
+    of ``nd`` (the generic algorithm with nearest neighbours, Müllner,
+    arXiv:1109.2378). After merging j into i only the rows whose cached
+    neighbour can have changed are searched again: row i, rows r < i whose
+    neighbour was i or j or whose new cost to i beats (or ties at a lower
+    index) the cached one, and rows i < r < j whose neighbour was j. The
+    merges, and so the costs, are those of the full-matrix search.
     """
     n = X.shape[0]
     D = _sq_dists(X, X)
@@ -197,11 +214,19 @@ def _fit_agglomerative(X: np.ndarray, k: int) -> np.ndarray:
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
     labels = np.arange(n)
+    cols = np.arange(n)
+    nn = np.zeros(n, dtype=np.intp)
+    nd = np.full(n, math.inf)
+
+    def search(rows: np.ndarray) -> None:
+        M = np.where(active & (cols > rows[:, None]), D[rows], math.inf)
+        nn[rows] = np.argmin(M, axis=1)
+        nd[rows] = M[np.arange(len(rows)), nn[rows]]
+
+    search(cols)
     for _ in range(n - k):
-        M = np.where(active[:, None] & active[None, :], D, math.inf)
-        M[np.tril_indices(n)] = math.inf
-        flat = int(np.argmin(M))
-        i, j = divmod(flat, n)
+        i = int(np.argmin(nd))
+        j = int(nn[i])
         # Lance-Williams update of every remaining cluster's cost to i∪j.
         others = active.copy()
         others[i] = others[j] = False
@@ -213,7 +238,17 @@ def _fit_agglomerative(X: np.ndarray, k: int) -> np.ndarray:
         D[others, i] = new_d
         sizes[i] += sizes[j]
         active[j] = False
+        nd[j] = math.inf
         labels[labels == j] = i
+        rows = np.flatnonzero(active[:j])
+        near, cost, to_i = nn[rows], nd[rows], D[rows, i]
+        before = rows < i
+        stale = (
+            (near == j)
+            | (rows == i)
+            | (before & ((near == i) | (to_i < cost) | ((to_i == cost) & (i < near))))
+        )
+        search(rows[stale])
     return labels
 
 
@@ -230,15 +265,20 @@ def _log_gauss_diag(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> 
     return out
 
 
+def _log_norm(weighted: np.ndarray) -> np.ndarray:
+    """Per-sample log of the mixture density: logsumexp over components of
+    the weighted log densities."""
+    m = weighted.max(axis=1, keepdims=True)
+    return m.ravel() + np.log(np.exp(weighted - m).sum(axis=1))
+
+
 def gmm_loglik(state: dict[str, Any], X: np.ndarray | EncodedMatrix) -> float:
     """Total log-likelihood of X under a fitted diagonal mixture."""
     if isinstance(X, EncodedMatrix):
         X = X.features
     X = np.asarray(X, dtype=np.float64)
     log_p = _log_gauss_diag(X, np.asarray(state["means"]), np.asarray(state["variances"]))
-    weighted = log_p + np.log(np.asarray(state["weights"]))
-    m = weighted.max(axis=1, keepdims=True)
-    return float((m.ravel() + np.log(np.exp(weighted - m).sum(axis=1))).sum())
+    return float(_log_norm(log_p + np.log(np.asarray(state["weights"]))).sum())
 
 
 def _fit_gmm(
@@ -253,14 +293,14 @@ def _fit_gmm(
     for c in range(k):
         variances[c] = np.clip(X[km_assign == c].var(axis=0), floor, None)
 
-    state = {"weights": weights, "means": means, "variances": variances}
-    history = [gmm_loglik(state, X)]
+    # One log density per state: it gives the state's log-likelihood, the
+    # next E step and, for the last state, the assignment.
+    weighted = _log_gauss_diag(X, means, variances) + np.log(weights)
+    log_norm = _log_norm(weighted)
+    history = [float(log_norm.sum())]
     for _ in range(params["max_iter"]):
         # E step: responsibilities via logsumexp.
-        weighted = _log_gauss_diag(X, means, variances) + np.log(weights)
-        m = weighted.max(axis=1, keepdims=True)
-        log_norm = m + np.log(np.exp(weighted - m).sum(axis=1, keepdims=True))
-        resp = np.exp(weighted - log_norm)
+        resp = np.exp(weighted - log_norm[:, None])
         # M step.
         nk = resp.sum(axis=0)
         nk = np.clip(nk, 1e-12, None)
@@ -269,12 +309,13 @@ def _fit_gmm(
         for c in range(k):
             diff2 = (X - means[c]) ** 2
             variances[c] = np.clip((resp[:, c] @ diff2) / nk[c], floor, None)
-        state = {"weights": weights, "means": means, "variances": variances}
-        history.append(gmm_loglik(state, X))
+        weighted = _log_gauss_diag(X, means, variances) + np.log(weights)
+        log_norm = _log_norm(weighted)
+        history.append(float(log_norm.sum()))
         if abs(history[-1] - history[-2]) < params["tol"]:
             break
-    weighted = _log_gauss_diag(X, means, variances) + np.log(weights)
     assign = np.argmax(weighted, axis=1)
+    state = {"weights": weights, "means": means, "variances": variances}
     diag = {"loglik_history": history, "converged": len(history) - 1 < params["max_iter"]}
     return assign, {**diag, **{k_: v for k_, v in state.items()}}
 
@@ -362,23 +403,41 @@ def estimate_bandwidth(X: np.ndarray, quantile: float = 0.3) -> float:
     return float(d[:, k - 1].mean())
 
 
+def _shift_points(
+    X: np.ndarray, bandwidth: float, max_iter: int, xx: np.ndarray
+) -> np.ndarray:
+    """Move every sample to the mean of the samples within ``bandwidth`` of
+    it, repeatedly, until it moves less than ``1e-3 * bandwidth`` or has
+    taken ``max_iter`` steps. All points still moving take each step
+    together, as one n x live window matrix."""
+    shifted = X.copy()
+    live = np.arange(X.shape[0])
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        S = shifted[live]
+        W = (_sq_dists(X, S, xx) <= bandwidth**2).astype(X.dtype)
+        new = (W.T @ X) / W.sum(axis=0)[:, None]
+        shifted[live] = new
+        live = live[np.linalg.norm(new - S, axis=1) >= 1e-3 * bandwidth]
+    return shifted
+
+
 def _fit_meanshift(X: np.ndarray, params: dict[str, Any]) -> tuple[np.ndarray, dict[str, Any]]:
+    """Flat-kernel mean shift. Every sample climbs to a mode, all samples
+    still moving in one step together (``_shift_points``). Modes are then
+    accepted strongest first, lowest sample index first on equal strength,
+    and a mode within half a bandwidth of an accepted one is merged into it.
+    Each sample joins its nearest accepted mode, the earlier accepted one on
+    a tie.
+    """
     n = X.shape[0]
     bandwidth = estimate_bandwidth(X, params["quantile"])
     if bandwidth <= 0.0:
         return np.zeros(n, dtype=np.intp), {"bandwidth": 0.0, "modes": 1}
-    shifted = X.copy()
-    for i in range(n):
-        x = shifted[i]
-        for _ in range(params["max_iter"]):
-            within = _sq_dists(X, x[None, :]).ravel() <= bandwidth**2
-            new_x = X[within].mean(axis=0)
-            if np.linalg.norm(new_x - x) < 1e-3 * bandwidth:
-                x = new_x
-                break
-            x = new_x
-        shifted[i] = x
-    intensity = (_sq_dists(X, shifted) <= bandwidth**2).sum(axis=0)
+    xx = (X * X).sum(axis=1)
+    shifted = _shift_points(X, bandwidth, params["max_iter"], xx)
+    intensity = (_sq_dists(X, shifted, xx) <= bandwidth**2).sum(axis=0)
     # Strongest modes first; merge anything within half a bandwidth of an
     # already accepted mode.
     order = np.lexsort((np.arange(n), -intensity))
@@ -389,7 +448,7 @@ def _fit_meanshift(X: np.ndarray, params: dict[str, Any]) -> tuple[np.ndarray, d
         ):
             accepted.append(int(i))
     modes = shifted[accepted]
-    assign = np.argmin(_sq_dists(X, modes), axis=1)
+    assign = np.argmin(_sq_dists(X, modes, xx), axis=1)
     return assign, {"bandwidth": bandwidth, "modes": len(accepted)}
 
 

@@ -461,17 +461,22 @@ def load_corpus_jsonl(
     """Reload a canonical JSONL dump.
 
     When ``label_set`` is not given it is derived as the sorted set of
-    document labels.
+    document labels. A line that is not a well-formed document record
+    raises ``MalformedRecordError`` naming the file, the line number and,
+    where the record has one, the document id.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFileError(f"corpus dump not found: {path}")
     documents = []
-    for line in path.read_text("utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        rec = None
         try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise TypeError(f"record is a JSON {type(rec).__name__}, not an object")
             doc = Document(
                 id=rec["id"],
                 label=rec["label"],
@@ -487,8 +492,12 @@ def load_corpus_jsonl(
                     for f in rec["formulas"]
                 ],
             )
-        except ValueError as exc:
-            raise MalformedRecordError(f"{path}: document {rec['id']!r}: {exc}") from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            where = f"{path}:{lineno}"
+            if isinstance(rec, dict) and "id" in rec:
+                where += f": document {rec['id']!r}"
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise MalformedRecordError(f"{where}: {reason}") from exc
         documents.append(doc)
     if label_set is None:
         label_set = sorted({d.label for d in documents})

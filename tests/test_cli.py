@@ -343,6 +343,94 @@ class TestClassificationGrid:
 
 
 @pytest.fixture(scope="module")
+def cluster_grid(tmp_path_factory):
+    """Every clusterer on two tf-idf rows of the mini corpus."""
+    base = tmp_path_factory.mktemp("cluster_grid")
+    config = load_experiment_config(
+        write_config(
+            base,
+            classifiers=[],
+            clusterers=[
+                {"algo": "kmeans", "k": 3},
+                {"algo": "agglomerative", "k": 3},
+                {"algo": "gmm", "k": 3},
+                {"algo": "affinity"},
+                {"algo": "meanshift", "params": {"quantile": 0.05}},
+            ],
+        )
+    )
+    return config, run_experiment(config)
+
+
+class TestClusteringGrid:
+    SCALARS = {
+        "kmeans": {"iterations"},
+        "agglomerative": set(),
+        "gmm": {"converged", "iterations"},
+        "affinity": {"converged", "iterations"},
+        "meanshift": {"bandwidth", "modes"},
+    }
+
+    def test_record_holds_every_cells_diagnostics(self, cluster_grid):
+        config, report = cluster_grid
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        diagnostics = record["cluster_diagnostics"]
+        assert list(diagnostics) == [f"{r}/{c}" for r, c in report.cells]
+        for (row, col), cell in zip(report.cells, diagnostics.values()):
+            path = config.output_dir / f"assignments_{row}_{col}.csv"
+            with path.open(encoding="utf-8", newline="") as fh:
+                ids = {line["cluster_id"] for line in csv.DictReader(fh)}
+            sidecar = json.loads(path.with_suffix(".csv.json").read_text())["diagnostics"]
+            if col == "gmm":
+                sidecar["iterations"] = len(sidecar["loglik_history"]) - 1
+            assert cell == {"n_clusters": len(ids), **{k: sidecar[k] for k in self.SCALARS[col]}}
+
+    def test_failed_cell_has_no_diagnostics(self, tmp_path):
+        config = load_experiment_config(
+            write_config(
+                tmp_path,
+                classifiers=[],
+                clusterers=[{"algo": "kmeans", "k": 3}, {"algo": "kmeans", "k": 999}],
+            )
+        )
+        run_experiment(config)
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        assert list(record["cluster_diagnostics"]) == ["text_tfidf/kmeans", "math_id_tfidf/kmeans"]
+
+    def test_runtime_row_times_the_clusterer_fit_only(self, tmp_path, monkeypatch):
+        """The k=2 column's fit is slow and the k=3 column's file writes are
+        slower; only the fit counts, so k=2 is the slowest column."""
+        import time
+
+        from textmath import cli
+
+        fit, dump = cli.fit_predict_clusterer, cli.dump_assignment
+
+        def slow_fit(spec, matrix):
+            if spec.k == 2:
+                time.sleep(0.05)
+            return fit(spec, matrix)
+
+        def slow_dump(assignment, path):
+            if assignment.spec.k == 3:
+                time.sleep(0.25)
+            dump(assignment, path)
+
+        monkeypatch.setattr(cli, "fit_predict_clusterer", slow_fit)
+        monkeypatch.setattr(cli, "dump_assignment", slow_dump)
+        config = load_experiment_config(
+            write_config(
+                tmp_path,
+                classifiers=[],
+                clusterers=[{"algo": "kmeans", "k": 3}, {"algo": "kmeans", "k": 2}],
+            )
+        )
+        report = run_experiment(config)
+        assert report.runtimes_percent["kmeans#2"] == 100.0
+        assert report.runtimes_percent["kmeans"] < 100.0
+
+
+@pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """A synth corpus pushed through the ingest stage once per module."""
     base = tmp_path_factory.mktemp("pipeline")

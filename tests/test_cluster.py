@@ -1,8 +1,11 @@
 """Five clusterers: fixtures, per-algo contracts, and shared invariants."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textmath import (
     ClustererSpec,
@@ -13,6 +16,8 @@ from textmath import (
     gmm_loglik,
     purity,
 )
+from textmath import cluster
+from textmath.cluster import DEFAULT_PARAMS
 from tests.conftest import make_blobs, make_matrix
 
 
@@ -259,3 +264,291 @@ class TestSharedInvariants:
         X, y = make_blobs([[0.0] * 40, [15.0] * 40], n_per=20, scale=1.0, seed=10)
         a = fit_predict_clusterer(ClustererSpec("gmm", k=2, seed=0, pca_dims=5), make_matrix(X))
         assert purity(a, y) == 1.0
+
+
+# --- reference implementations ---------------------------------------------------
+# Straightforward versions of the fitting loops: a full-matrix search per Ward
+# merge, one distance matrix per Lloyd step plus one for its inertia, one log
+# density for each E step and each log-likelihood, and one point at a time in
+# mean shift. The fast loops must do the same arithmetic (mean shift: up to the
+# order of summation).
+
+
+def ref_sq_dists(X, Y):
+    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * X @ Y.T
+    return np.clip(d2, 0.0, None)
+
+
+def ref_kmeans_pp_centers(X, k, rng):
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = ref_sq_dists(X, centers[:1]).ravel()
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[c] = X[rng.integers(n)]
+        else:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            centers[c] = X[min(idx, n - 1)]
+        d2 = np.minimum(d2, ref_sq_dists(X, centers[c : c + 1]).ravel())
+    return centers
+
+
+def ref_lloyd(X, centers, max_iter):
+    k = centers.shape[0]
+    assign = np.full(X.shape[0], -1, dtype=np.intp)
+    history = []
+    for it in range(max_iter):
+        d2 = ref_sq_dists(X, centers)
+        new_assign = np.argmin(d2, axis=1)
+        for c in range(k):
+            if not np.any(new_assign == c):
+                point_d2 = d2[np.arange(len(new_assign)), new_assign]
+                worst = int(np.argmax(point_d2))
+                new_assign[worst] = c
+                d2[worst, :] = 0.0
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            members = assign == c
+            if members.any():
+                centers[c] = X[members].mean(axis=0)
+        history.append(
+            float(ref_sq_dists(X, centers)[np.arange(X.shape[0]), assign].sum())
+        )
+    return assign, centers, history, it + 1
+
+
+def ref_fit_kmeans(X, k, params, seed):
+    best = None
+    for ss in np.random.SeedSequence(seed).spawn(params["n_restarts"]):
+        rng = np.random.default_rng(ss)
+        centers = ref_kmeans_pp_centers(X, k, rng)
+        assign, centers, history, iters = ref_lloyd(X, centers.copy(), params["max_iter"])
+        if best is None or history[-1] < best[2][-1]:
+            best = (assign, centers, history, iters)
+    assign, centers, history, iters = best
+    return assign, {
+        "inertia": history[-1],
+        "inertia_history": history,
+        "iterations": iters,
+        "centers": centers,
+    }
+
+
+def ref_fit_agglomerative(X, k):
+    return ref_ward(ref_sq_dists(X, X), k)
+
+
+def ref_ward(D, k):
+    n = D.shape[0]
+    np.fill_diagonal(D, math.inf)
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    labels = np.arange(n)
+    for _ in range(n - k):
+        M = np.where(active[:, None] & active[None, :], D, math.inf)
+        M[np.tril_indices(n)] = math.inf
+        flat = int(np.argmin(M))
+        i, j = divmod(flat, n)
+        others = active.copy()
+        others[i] = others[j] = False
+        ni, nj, nk = sizes[i], sizes[j], sizes[others]
+        new_d = ((ni + nk) * D[i, others] + (nj + nk) * D[j, others] - nk * D[i, j]) / (
+            ni + nj + nk
+        )
+        D[i, others] = new_d
+        D[others, i] = new_d
+        sizes[i] += sizes[j]
+        active[j] = False
+        labels[labels == j] = i
+    return labels
+
+
+def ref_log_gauss_diag(X, means, variances):
+    n, d = X.shape
+    out = np.empty((n, means.shape[0]))
+    for c in range(means.shape[0]):
+        diff2 = (X - means[c]) ** 2
+        out[:, c] = -0.5 * (np.log(2.0 * np.pi * variances[c]).sum() + (diff2 / variances[c]).sum(axis=1))
+    return out
+
+
+def ref_gmm_loglik(state, X):
+    log_p = ref_log_gauss_diag(X, np.asarray(state["means"]), np.asarray(state["variances"]))
+    weighted = log_p + np.log(np.asarray(state["weights"]))
+    m = weighted.max(axis=1, keepdims=True)
+    return float((m.ravel() + np.log(np.exp(weighted - m).sum(axis=1))).sum())
+
+
+def ref_fit_gmm(X, k, params, seed):
+    n, d = X.shape
+    floor = params["cov_floor"]
+    km_assign, km_diag = ref_fit_kmeans(X, k, DEFAULT_PARAMS["kmeans"], seed)
+    means = km_diag["centers"].copy()
+    weights = np.array([(km_assign == c).sum() / n for c in range(k)])
+    variances = np.empty((k, d))
+    for c in range(k):
+        variances[c] = np.clip(X[km_assign == c].var(axis=0), floor, None)
+
+    state = {"weights": weights, "means": means, "variances": variances}
+    history = [ref_gmm_loglik(state, X)]
+    for _ in range(params["max_iter"]):
+        weighted = ref_log_gauss_diag(X, means, variances) + np.log(weights)
+        m = weighted.max(axis=1, keepdims=True)
+        log_norm = m + np.log(np.exp(weighted - m).sum(axis=1, keepdims=True))
+        resp = np.exp(weighted - log_norm)
+        nk = resp.sum(axis=0)
+        nk = np.clip(nk, 1e-12, None)
+        weights = nk / n
+        means = (resp.T @ X) / nk[:, None]
+        for c in range(k):
+            diff2 = (X - means[c]) ** 2
+            variances[c] = np.clip((resp[:, c] @ diff2) / nk[c], floor, None)
+        state = {"weights": weights, "means": means, "variances": variances}
+        history.append(ref_gmm_loglik(state, X))
+        if abs(history[-1] - history[-2]) < params["tol"]:
+            break
+    weighted = ref_log_gauss_diag(X, means, variances) + np.log(weights)
+    assign = np.argmax(weighted, axis=1)
+    diag = {"loglik_history": history, "converged": len(history) - 1 < params["max_iter"]}
+    return assign, {**diag, **{k_: v for k_, v in state.items()}}
+
+
+def ref_shift_points(X, bandwidth, max_iter):
+    shifted = X.copy()
+    for i in range(X.shape[0]):
+        x = shifted[i]
+        for _ in range(max_iter):
+            within = ref_sq_dists(X, x[None, :]).ravel() <= bandwidth**2
+            new_x = X[within].mean(axis=0)
+            if np.linalg.norm(new_x - x) < 1e-3 * bandwidth:
+                x = new_x
+                break
+            x = new_x
+        shifted[i] = x
+    return shifted
+
+
+def ref_fit_meanshift(X, params):
+    n = X.shape[0]
+    bandwidth = estimate_bandwidth(X, params["quantile"])
+    if bandwidth <= 0.0:
+        return np.zeros(n, dtype=np.intp), {"bandwidth": 0.0, "modes": 1}
+    shifted = ref_shift_points(X, bandwidth, params["max_iter"])
+    intensity = (ref_sq_dists(X, shifted) <= bandwidth**2).sum(axis=0)
+    order = np.lexsort((np.arange(n), -intensity))
+    accepted = []
+    for i in order:
+        if all(
+            np.linalg.norm(shifted[i] - shifted[j]) > bandwidth / 2.0 for j in accepted
+        ):
+            accepted.append(int(i))
+    modes = shifted[accepted]
+    assign = np.argmin(ref_sq_dists(X, modes), axis=1)
+    return assign, {"bandwidth": bandwidth, "modes": len(accepted)}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """A few points on a small integer grid, some of them repeated: many
+    exactly equal distances, so every tie rule is exercised."""
+    n = draw(st.integers(2, 9))
+    d = draw(st.integers(1, 3))
+    cells = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return np.array(rows + [rows[r] for r in repeats], dtype=np.float64)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(X=tie_heavy_rows())
+    def test_ward_merges_like_the_full_matrix_search(self, X):
+        for k in range(1, X.shape[0] + 1):
+            assert same_bits(cluster._fit_agglomerative(X, k), ref_fit_agglomerative(X, k))
+
+    def test_ward_matches_on_near_tie_costs(self):
+        """Singleton costs a few ulps apart: a merged cost can then round to
+        just below a row's cached least cost, which the cache must notice."""
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(4, 8))
+            ulps = rng.integers(0, 4, size=(n, n))
+            D = np.full((n, n), 0.1 + 10.0 * rng.random())
+            for step in range(3):
+                D = np.where(ulps > step, np.nextafter(D, 0.0), D)
+            D = np.triu(D) + np.triu(D, 1).T
+            with mock.patch.object(cluster, "_sq_dists", lambda X, Y: D.copy()):
+                got = [cluster._fit_agglomerative(np.zeros((n, 1)), k) for k in range(1, n)]
+            want = [ref_ward(D.copy(), k) for k in range(1, n)]
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    def test_ward_matches_on_a_continuous_matrix(self):
+        X = np.random.default_rng(14).normal(size=(60, 5))
+        for k in (1, 2, 7, 30, 59, 60):
+            assert same_bits(cluster._fit_agglomerative(X, k), ref_fit_agglomerative(X, k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(X=tie_heavy_rows(), seed=st.integers(0, 3))
+    def test_kmeans_is_bit_identical(self, X, seed):
+        params = {"max_iter": 300, "n_restarts": 3}
+        for k in range(1, X.shape[0] + 1):
+            assign, diag = cluster._fit_kmeans(X, k, params, seed)
+            want, ref = ref_fit_kmeans(X, k, params, seed)
+            assert same_bits(assign, want)
+            assert same_bits(diag["centers"], ref["centers"])
+            assert same_bits(diag["inertia_history"], ref["inertia_history"])
+            assert diag["iterations"] == ref["iterations"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=25, deadline=None)
+    @given(X=tie_heavy_rows(), seed=st.integers(0, 3))
+    def test_gmm_is_bit_identical(self, X, seed):
+        for k in range(1, X.shape[0] + 1):
+            assign, state = cluster._fit_gmm(X, k, DEFAULT_PARAMS["gmm"], seed)
+            want, ref = ref_fit_gmm(X, k, DEFAULT_PARAMS["gmm"], seed)
+            assert same_bits(assign, want)
+            assert same_bits(state["loglik_history"], ref["loglik_history"])
+            assert state["converged"] == ref["converged"]
+            for key in ("weights", "means", "variances"):
+                assert same_bits(state[key], ref[key])
+
+    @staticmethod
+    def tfidf_like(seed):
+        """L2-normalised non-negative rows: four topics of 12 words each
+        with a few shared words, like tf-idf rows of four classes."""
+        rng = np.random.default_rng(seed)
+        X = np.zeros((80, 52))
+        for i in range(80):
+            topic = i % 4
+            X[i, 12 * topic : 12 * topic + 12] = rng.poisson(1.0, size=12)
+            X[i, 48:] = rng.poisson(0.3, size=4)
+        X[:, 0] += X.sum(axis=1) == 0
+        return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("quantile", [0.3, 0.05, 0.02])
+    @pytest.mark.parametrize("data", ["blobs", "tfidf"])
+    def test_meanshift_matches_point_by_point_shifts(self, data, quantile):
+        if data == "blobs":
+            X, _ = make_blobs([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]], n_per=30, scale=1.0, seed=15)
+        else:
+            X = self.tfidf_like(16)
+        params = {**DEFAULT_PARAMS["meanshift"], "quantile": quantile}
+        assign, diag = cluster._fit_meanshift(X, params)
+        want, ref = ref_fit_meanshift(X, params)
+        assert same_bits(assign, want)
+        assert diag == ref
+        bandwidth = diag["bandwidth"]
+        shifted = cluster._shift_points(X, bandwidth, params["max_iter"], (X * X).sum(axis=1))
+        np.testing.assert_allclose(
+            shifted, ref_shift_points(X, bandwidth, params["max_iter"]), rtol=0, atol=1e-12
+        )

@@ -415,3 +415,31 @@ class TestJsonlRoundTrip:
                      "--output", str(tmp_path / "m.csv")])
         assert code == 2
         assert "bad-doc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            ("{not json", r"dump\.jsonl:2: Expecting property name"),
+            ('{"id": "a", "label": "x"}', r"dump\.jsonl:2: document 'a': missing key 'raw_text'"),
+            ('{"label": "x", "raw_text": ""}', r"dump\.jsonl:2: missing key 'id'"),
+            ('["a", "x"]', r"dump\.jsonl:2: record is a JSON list, not an object"),
+        ],
+        ids=["not-json", "missing-key", "missing-id", "not-an-object"],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, tiny_corpus, line, match):
+        path = tmp_path / "dump.jsonl"
+        dump_corpus_jsonl(tiny_corpus, path)
+        first = path.read_text("utf-8").splitlines()[0]
+        path.write_text(f"{first}\n{line}\n", "utf-8")
+        with pytest.raises(MalformedRecordError, match=match):
+            load_corpus_jsonl(path)
+
+    def test_cli_exits_2_on_a_line_that_is_not_json(self, tmp_path, capsys):
+        from textmath.cli import main
+
+        path = tmp_path / "dump.jsonl"
+        path.write_text("{not json\n", "utf-8")
+        code = main(["encode", str(path), "--encoding", "text_tfidf",
+                     "--output", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "dump.jsonl:1" in capsys.readouterr().err

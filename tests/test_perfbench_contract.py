@@ -1,10 +1,10 @@
 """The names the benchmark in ``perfbench/`` imports from the package, and
-one full benchmark run.
+full benchmark runs of two workloads.
 
 The benchmark wraps package functions by name and imports workload helpers
 from it. If one of them moves, a benchmark run fails before it prints its
 result line, so these tests catch the move first. A run can also fail its
-own output checks or print a malformed result line; the smoke run catches
+own output checks or print a malformed result line; the smoke runs catch
 those.
 """
 import importlib
@@ -56,11 +56,11 @@ def test_workload_set_up_and_input_size(perfbench, tmp_path):
     assert set(size["vocabulary"]) == set(config.encodings)
 
 
-def test_one_benchmark_run_passes_its_checks():
-    """grid_tfidf with the minimum two calls (about 10 s): the classification
-    grid, the semantified row, clustering and the correlation table."""
+def run_benchmark(workload: str) -> None:
+    """One benchmark run of ``workload`` with the minimum two calls; it must
+    exit 0, pass its output checks and report no failed cell."""
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "grid_tfidf",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=PERFBENCH.parent,
         capture_output=True,
@@ -73,3 +73,15 @@ def test_one_benchmark_run_passes_its_checks():
     result = json.loads(lines[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_one_benchmark_run_passes_its_checks():
+    """grid_tfidf (about 10 s): the classification grid, the semantified
+    row, clustering and the correlation table."""
+    run_benchmark("grid_tfidf")
+
+
+def test_cluster_full_run_passes_its_checks():
+    """cluster_full (about 6 s): all five clusterers, Ward and mean shift
+    among them, on 350 long documents."""
+    run_benchmark("cluster_full")
