@@ -4,7 +4,7 @@ Six algorithms, all implemented directly on numpy: one-vs-rest logistic
 regression, one-vs-rest linear SVM (hinge loss), k-nearest neighbors, a
 one-hidden-layer MLP, a CART decision tree, and a random forest. Every fit
 is deterministic for a fixed seed, and every algorithm exposes per-class
-scores so ranked top-k prediction works uniformly.
+scores; prediction takes the highest.
 
 Tie policy: equal scores resolve by label_set order, equal distances by
 lower sample index, equal split gains by lower feature index then lower
@@ -12,20 +12,14 @@ threshold.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .encode import EncodedMatrix
-from .errors import (
-    DimensionMismatchError,
-    KTooLargeError,
-    SingleClassTrainingError,
-)
+from .errors import DimensionMismatchError, SingleClassTrainingError
 
 ALGOS = ("logreg", "linear_svc", "knn", "mlp", "dectree", "randforest")
 
@@ -129,7 +123,7 @@ def _fit_logreg(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dict[st
 
 
 def _scores_logreg(state: dict[str, Any], X: np.ndarray) -> np.ndarray:
-    return _sigmoid(X @ np.asarray(state["W"]).T + np.asarray(state["b"]))
+    return _sigmoid(X @ state["W"].T + state["b"])
 
 
 # --- linear SVM -------------------------------------------------------------
@@ -183,15 +177,15 @@ def _fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dic
 
 
 def _scores_linear_svc(state: dict[str, Any], X: np.ndarray) -> np.ndarray:
-    return X @ np.asarray(state["W"]).T + np.asarray(state["b"])
+    return X @ state["W"].T + state["b"]
 
 
 # --- k nearest neighbors ----------------------------------------------------
 
 
 def _scores_knn(state: dict[str, Any], X: np.ndarray, n_classes: int) -> np.ndarray:
-    train = np.asarray(state["X"])
-    y_idx = np.asarray(state["y_idx"], dtype=np.intp)
+    train = state["X"]
+    y_idx = state["y_idx"]
     k = state["k"]
     scores = np.zeros((X.shape[0], n_classes))
     sample_idx = np.arange(train.shape[0])
@@ -299,7 +293,7 @@ def _fit_mlp(
 
 
 def _scores_mlp(state: dict[str, Any], X: np.ndarray, n_classes: int) -> np.ndarray:
-    _, P = _mlp_forward(np.asarray(state["theta"]), X, state["hidden"], n_classes)
+    _, P = _mlp_forward(state["theta"], X, state["hidden"], n_classes)
     return P
 
 
@@ -480,70 +474,3 @@ def predict(model: ClassifierModel, X: EncodedMatrix | np.ndarray) -> list[str]:
     scores = class_scores(model, X)
     return [model.label_set[i] for i in np.argmax(scores, axis=1)]
 
-
-def predict_ranked(
-    model: ClassifierModel, X: EncodedMatrix | np.ndarray, k: int
-) -> list[list[str]]:
-    if not 1 <= k <= len(model.label_set):
-        raise KTooLargeError(f"k={k} outside [1, {len(model.label_set)}]")
-    scores = class_scores(model, X)
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return [[model.label_set[i] for i in row] for row in order]
-
-
-# --- persistence --------------------------------------------------------------
-
-
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": obj.tolist(), "dtype": str(obj.dtype)}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
-def _unjsonable(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        if "__ndarray__" in obj:
-            return np.array(obj["__ndarray__"], dtype=obj["dtype"])
-        return {k: _unjsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_unjsonable(v) for v in obj]
-    return obj
-
-
-FORMAT_VERSION = 1
-
-
-def save_model(model: ClassifierModel, path: str | Path) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "spec": {"algo": model.spec.algo, "params": model.spec.params, "seed": model.spec.seed},
-        "label_set": model.label_set,
-        "n_features": model.n_features,
-        "state": _jsonable(model.state),
-    }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False) + "\n", "utf-8")
-
-
-def load_model(path: str | Path) -> ClassifierModel:
-    payload = json.loads(Path(path).read_text("utf-8"))
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {payload.get('format_version')!r}")
-    spec = ClassifierSpec(
-        algo=payload["spec"]["algo"],
-        params=payload["spec"]["params"],
-        seed=payload["spec"]["seed"],
-    )
-    return ClassifierModel(
-        spec=spec,
-        label_set=payload["label_set"],
-        state=_unjsonable(payload["state"]),
-        n_features=payload["n_features"],
-    )

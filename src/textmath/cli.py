@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -58,7 +58,6 @@ class LexiconConfig:
     path: Path
     top_n: int = DEFAULT_TOP_N
     mode: str = "append"
-    source: str = "custom"
 
 
 @dataclass
@@ -94,8 +93,19 @@ class ExperimentConfig:
             raise ConfigError(f"lexicon.path: file not found: {self.lexicon.path}")
 
 
+def _reject_unknown_keys(obj: dict[str, Any], known: type, prefix: str) -> None:
+    """Config objects take exactly the fields of their dataclass; a misspelled
+    or retired key is an error, not a silently ignored value."""
+    unknown = sorted(set(obj) - {f.name for f in fields(known)})
+    if unknown:
+        raise ConfigError(", ".join(prefix + key for key in unknown) + ": unknown config key")
+
+
 def _spec_from_entry(entry: Any, kind: str) -> Any:
     """Build a classifier/clusterer spec from a config entry (name or object)."""
+    if isinstance(entry, dict):
+        spec_type = ClassifierSpec if kind == "classifiers" else ClustererSpec
+        _reject_unknown_keys(entry, spec_type, f"{kind}.")
     try:
         if kind == "classifiers":
             if isinstance(entry, str):
@@ -128,6 +138,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
+    _reject_unknown_keys(raw, ExperimentConfig, "")
     for key in ("corpus_manifest", "output_dir", "encodings"):
         if key not in raw:
             raise ConfigError(f"{key}: required field is missing")
@@ -137,18 +148,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         lex = raw["lexicon"]
         if not isinstance(lex, dict) or "path" not in lex:
             raise ConfigError("lexicon: must be an object with a 'path' field")
+        _reject_unknown_keys(lex, LexiconConfig, "lexicon.")
         mode = lex.get("mode", "append")
         if mode not in MODES:
             raise ConfigError(f"lexicon.mode: must be one of {MODES}")
         top_n = lex.get("top_n", DEFAULT_TOP_N)
         if not isinstance(top_n, int) or top_n < 1:
             raise ConfigError("lexicon.top_n: must be a positive integer")
-        lexicon = LexiconConfig(
-            path=path.parent / lex["path"],
-            top_n=top_n,
-            mode=mode,
-            source=lex.get("source", "custom"),
-        )
+        lexicon = LexiconConfig(path=path.parent / lex["path"], top_n=top_n, mode=mode)
 
     config = ExperimentConfig(
         corpus_manifest=path.parent / raw["corpus_manifest"],
@@ -164,6 +171,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     )
     config.validate()
     return config
+
+
+def _cell_error(stage: str, cell: str, exc: Exception) -> dict[str, str]:
+    """The run record's entry for a cell left empty by ``exc``."""
+    return {"stage": stage, "cell": cell, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _column_names(specs: list[Any]) -> list[str]:
@@ -202,9 +214,6 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     errors: list[dict[str, str]] = []
     written: list[str] = []
 
-    def record_error(stage: str, cell: str, exc: Exception) -> None:
-        errors.append({"stage": stage, "cell": cell, "error": f"{type(exc).__name__}: {exc}"})
-
     # Full-corpus matrices back clustering and the correlation table.
     matrices = {}
     for name, spec in enc_specs.items():
@@ -212,7 +221,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             _, matrices[name] = fit_encoder(spec, corpus.documents, stopwords=corpus.stopwords)
         except Exception as exc:  # degrade to an empty row
             matrices[name] = None
-            record_error("encode", name, exc)
+            errors.append(_cell_error("encode", name, exc))
 
     clf_report = None
     fold_accuracies: dict[str, list[float]] = {}
@@ -289,11 +298,8 @@ def _run_classification_grid(
 
     rows = [(name, encoding_folds(spec, corpus, plan)) for name, spec in enc_specs.items()]
     if config.lexicon is not None:
-        lex = load_lexicon(config.lexicon.path, config.lexicon.source)
-        bags = [
-            enrich(d, lex, config.lexicon.top_n, config.lexicon.mode).tokens
-            for d in corpus.documents
-        ]
+        lex = load_lexicon(config.lexicon.path)
+        bags = [enrich(d, lex, config.lexicon.top_n, config.lexicon.mode) for d in corpus.documents]
         rows.append((SEMANTIFIED_ROW[config.lexicon.mode], bag_folds(bags, plan)))
 
     for row_name, folds in rows:
@@ -302,9 +308,7 @@ def _run_classification_grid(
             cell = f"{row_name}/{col}"
             if isinstance(outcome, Exception):
                 cells[(row_name, col)] = None
-                errors.append(
-                    {"stage": "classify", "cell": cell, "error": f"{type(outcome).__name__}: {outcome}"}
-                )
+                errors.append(_cell_error("classify", cell, outcome))
                 continue
             cells[(row_name, col)] = 100.0 * outcome.mean_accuracy
             fold_accuracies[cell] = outcome.fold_accuracies
@@ -376,9 +380,7 @@ def _run_clustering_grid(
                 )
             except Exception as exc:
                 cells[(enc_name, col)] = None
-                errors.append(
-                    {"stage": "cluster", "cell": cell, "error": f"{type(exc).__name__}: {exc}"}
-                )
+                errors.append(_cell_error("cluster", cell, exc))
             else:
                 cells[(enc_name, col)] = 100.0 * macro
                 raw_times[col] += seconds
@@ -413,13 +415,7 @@ def _write_correlations(
                 lines.append(f"{a},{b},{r:.6f}")
             except (ZeroVarianceError, ValueError) as exc:
                 lines.append(f"{a},{b},")
-                errors.append(
-                    {
-                        "stage": "correlate",
-                        "cell": f"{a}/{b}",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
+                errors.append(_cell_error("correlate", f"{a}/{b}", exc))
     path = config.output_dir / "correlations.csv"
     path.write_text("\n".join(lines) + "\n", "utf-8")
     written.append(path.name)
@@ -494,15 +490,12 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 def _cmd_semantify(args: argparse.Namespace) -> int:
     corpus = _load_jsonl_corpus(args)
-    lex = load_lexicon(args.lexicon, args.source)
+    lex = load_lexicon(args.lexicon)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         for doc in corpus.documents:
-            stream = enrich(doc, lex, args.top_n, args.mode)
+            tokens = enrich(doc, lex, args.top_n, args.mode)
             fh.write(
-                json.dumps(
-                    {"id": stream.doc_id, "label": doc.label, "tokens": stream.tokens},
-                    ensure_ascii=False,
-                )
+                json.dumps({"id": doc.id, "label": doc.label, "tokens": tokens}, ensure_ascii=False)
                 + "\n"
             )
     print(f"{len(corpus.documents)} enriched streams -> {args.output}")
@@ -595,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--granularity", default="document", choices=GRANULARITIES)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--source", default="custom")
     p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
     p.add_argument("--mode", default="append", choices=MODES)
     p.add_argument("--output", required=True)
@@ -605,12 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--seed", type=int)
     p.add_argument("--output-dir")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="upper bound on parallel cells (cells currently run serially)",
-    )
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic markup corpus")

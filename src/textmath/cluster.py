@@ -287,8 +287,17 @@ def _fit_gmm(
     n, d = X.shape
     floor = params["cov_floor"]
     km_assign, km_diag = _fit_kmeans(X, k, DEFAULT_PARAMS["kmeans"], seed)
+    counts = np.bincount(km_assign, minlength=k)
+    if (counts == 0).any():
+        # An empty component has no variance and zero weight; EM would run
+        # on NaNs from there.
+        distinct = len(np.unique(X, axis=0))
+        raise KExceedsSamplesError(
+            f"k={k}: the k-means start left a mixture component empty "
+            f"({distinct} distinct rows)"
+        )
     means = km_diag["centers"].copy()
-    weights = np.array([(km_assign == c).sum() / n for c in range(k)])
+    weights = counts / n
     variances = np.empty((k, d))
     for c in range(k):
         variances[c] = np.clip(X[km_assign == c].var(axis=0), floor, None)
@@ -493,15 +502,6 @@ def fit_predict_clusterer(spec: ClustererSpec, X: EncodedMatrix) -> ClusterAssig
         spec=spec,
         diagnostics=diag,
     )
-
-
-def fit_gmm_state(
-    X: EncodedMatrix | np.ndarray, k: int, seed: int = 0, params: dict[str, Any] | None = None
-) -> tuple[np.ndarray, dict[str, Any]]:
-    """Fitted mixture state with its log-likelihood history, for inspection."""
-    features = X.features if isinstance(X, EncodedMatrix) else np.asarray(X, dtype=np.float64)
-    merged = {**DEFAULT_PARAMS["gmm"], **(params or {})}
-    return _fit_gmm(features, k, merged, seed)
 
 
 def dump_assignment(assignment: ClusterAssignment, path: str | Path) -> None:

@@ -284,13 +284,6 @@ def pca_reduce(m: EncodedMatrix, target_dims: int) -> EncodedMatrix:
     )
 
 
-DEFAULT_PCA_DIMS = 50
-
-
-def default_pca_dims(n_samples: int, n_features: int) -> int:
-    return max(1, min(DEFAULT_PCA_DIMS, n_samples - 1, n_features))
-
-
 # --- fitted encoder facade -------------------------------------------------
 
 

@@ -52,13 +52,10 @@ class DimensionMismatchError(TextMathError):
     """Feature count of the input does not match the fitted model."""
 
 
-class KTooLargeError(TextMathError):
-    """Requested ranking depth exceeds the label set size."""
-
-
 # cluster
 class KExceedsSamplesError(TextMathError):
-    """Requested cluster count exceeds the number of samples."""
+    """Requested cluster count exceeds the samples (or distinct rows) that a
+    fit can split into that many non-empty clusters."""
 
 
 # evaluate

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,18 +298,6 @@ def weighted_purity(assignment: ClusterAssignment | Sequence[int], labels: Seque
 # --- similarity correlation -------------------------------------------------------
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise LengthMismatchError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v / (nu * nv))
-
-
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -339,19 +327,8 @@ def text_math_correlation(X_text: EncodedMatrix, X_math: EncodedMatrix) -> float
 # --- runtimes ----------------------------------------------------------------------
 
 
-def measure_runtime(tasks: Sequence[tuple[str, Callable[[], Any]]]) -> dict[str, float]:
-    """Wall-clock each task, then scale so the slowest is exactly 100.0."""
-    if not tasks:
-        raise ValueError("need at least one task")
-    raw: dict[str, float] = {}
-    for name, fn in tasks:
-        start = time.perf_counter()
-        fn()
-        raw[name] = time.perf_counter() - start
-    return normalize_runtimes(raw)
-
-
 def normalize_runtimes(raw: dict[str, float]) -> dict[str, float]:
+    """Scale raw seconds so the slowest entry is exactly 100.0."""
     slowest = max(raw.values())
     if slowest <= 0.0:
         return {name: 100.0 for name in raw}

@@ -1,11 +1,12 @@
 """Attach natural-language names to formula identifiers before encoding.
 
-A lexicon maps identifier symbols to ranked name candidates (e.g. E ->
-energy). Enrichment either appends the cleaned name tokens to a document's
-text stream or substitutes them for the namespaced ``id:`` tokens of a math
-stream. Candidate names run through the same cleaning pipeline as document
-text, so multi-word names lose their stopwords ("speed of light" ->
-["speed", "light"]).
+A lexicon is a ``symbol<TAB>name<TAB>score`` TSV that maps identifier
+symbols to ranked name candidates (e.g. E -> energy). Enrichment turns a
+document into one token list: append mode adds the cleaned name tokens to
+the document's text stream, replace mode substitutes them for the
+namespaced ``id:`` tokens of its math stream. Candidate names run through
+the same cleaning pipeline as document text, so multi-word names lose their
+stopwords ("speed of light" -> ["speed", "light"]).
 """
 from __future__ import annotations
 
@@ -16,33 +17,22 @@ from .corpus import Document, clean_text
 from .encode import token_stream
 from .errors import MalformedLineError
 
-SOURCES = ("arxiv", "wikipedia", "wikidata", "custom")
 MODES = ("append", "replace")
 DEFAULT_TOP_N = 3
 
 
 @dataclass
 class Lexicon:
-    source: str
     entries: dict[str, list[tuple[str, float]]]  # symbol -> [(name, score) desc]
 
     def candidates(self, symbol: str, top_n: int) -> list[str]:
         return [name for name, _ in self.entries.get(symbol, [])[:top_n]]
 
 
-@dataclass
-class EnrichedStream:
-    doc_id: str
-    tokens: list[str]
-    top_n: int
-
-
-def load_lexicon(path: str | Path, source: str = "custom") -> Lexicon:
+def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a ``symbol<TAB>name<TAB>score`` TSV; candidates per symbol come
     out sorted by descending score, ties keeping file order. Repeats of the
     same (symbol, name) pair have their scores summed."""
-    if source not in SOURCES:
-        raise ValueError(f"unknown lexicon source {source!r}")
     path = Path(path)
     raw: dict[str, dict[str, list[float | int]]] = {}
     order = 0
@@ -78,7 +68,7 @@ def load_lexicon(path: str | Path, source: str = "custom") -> Lexicon:
         ]
         for symbol, names in raw.items()
     }
-    return Lexicon(source=source, entries=entries)
+    return Lexicon(entries=entries)
 
 
 def _name_tokens(lex: Lexicon, symbol: str, top_n: int) -> list[str]:
@@ -117,7 +107,7 @@ def enrich_stream(
 
 def enrich(
     doc: Document, lex: Lexicon, top_n: int = DEFAULT_TOP_N, mode: str = "append"
-) -> EnrichedStream:
+) -> list[str]:
     """Per identifier occurrence (element order), look up the top_n candidate
     names. Append mode yields text tokens plus all cleaned name tokens;
     replace mode rewrites the namespaced math stream in place."""
@@ -132,4 +122,4 @@ def enrich(
                 tokens.extend(_name_tokens(lex, symbol, top_n))
     else:
         tokens = enrich_stream(token_stream(doc, "math_opid"), lex, top_n, mode="replace")
-    return EnrichedStream(doc_id=doc.id, tokens=tokens, top_n=top_n)
+    return tokens

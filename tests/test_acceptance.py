@@ -79,7 +79,7 @@ def headline(tmp_path_factory):
     lex = load_lexicon(lex_path)
     from textmath import enrich
 
-    bags = [enrich(d, lex, top_n=3, mode="append").tokens for d in corpus.documents]
+    bags = [enrich(d, lex, top_n=3, mode="append") for d in corpus.documents]
     out["semantified"] = cross_validate_bags(
         clf, bags, corpus.labels, corpus.label_set, plan
     ).mean_accuracy

@@ -7,13 +7,9 @@ import pytest
 from textmath import (
     ClassifierSpec,
     DimensionMismatchError,
-    KTooLargeError,
     SingleClassTrainingError,
     fit_classifier,
-    load_model,
     predict,
-    predict_ranked,
-    save_model,
 )
 from textmath.classify import logreg_objective, mlp_objective, svc_objective
 from tests.conftest import make_blobs, make_matrix
@@ -214,44 +210,3 @@ class TestPrediction:
         want = ["b0"] * 10 + ["b1"] * 10
         assert predict(model, make_matrix(fresh)) == want
 
-
-class TestRanked:
-    @pytest.mark.parametrize("algo", ALL_ALGOS)
-    def test_full_k_is_permutation(self, algo, blobs3):
-        X, y = blobs3
-        model = fit_classifier(small_spec(algo), X, y)
-        for row in predict_ranked(model, X, k=3):
-            assert sorted(row) == sorted(set(y))
-
-    @pytest.mark.parametrize("algo", ALL_ALGOS)
-    def test_k1_equals_predict(self, algo, blobs3):
-        X, y = blobs3
-        model = fit_classifier(small_spec(algo), X, y)
-        assert [r[0] for r in predict_ranked(model, X, k=1)] == predict(model, X)
-
-    def test_between_two_classes_far_from_third(self, blobs3):
-        X, y = blobs3
-        model = fit_classifier(ClassifierSpec("logreg"), X, y)
-        midpoint = make_matrix(np.array([[6.0, 0.0]]))
-        ranked = predict_ranked(model, midpoint, k=3)[0]
-        assert set(ranked[:2]) == {"b0", "b1"}
-        assert ranked[2] == "b2"
-
-    def test_k_too_large(self, blobs2):
-        X, y = blobs2
-        model = fit_classifier(ClassifierSpec("knn"), X, y)
-        with pytest.raises(KTooLargeError):
-            predict_ranked(model, X, k=3)
-
-
-class TestSaveLoad:
-    @pytest.mark.parametrize("algo", ALL_ALGOS)
-    def test_round_trip_preserves_predictions(self, algo, blobs3, tmp_path):
-        X, y = blobs3
-        model = fit_classifier(small_spec(algo, seed=2), X, y)
-        path = tmp_path / f"{algo}.json"
-        save_model(model, path)
-        back = load_model(path)
-        probe = make_matrix(np.random.default_rng(12).normal(4.0, 5.0, size=(20, 2)))
-        assert predict(back, probe) == predict(model, probe)
-        assert back.label_set == model.label_set

@@ -57,6 +57,10 @@ class TestConfigValidation:
             ({"lexicon": {"path": "x.tsv", "top_n": 0}}, "lexicon.top_n"),
             ({"lexicon": {"mode": "append"}}, "lexicon"),
             ({"clusterers": [{"algo": "kmeans", "k": 3, "params": {"max_iter": 0}}]}, "max_iter"),
+            ({"n_fold": 3}, "n_fold: unknown config key"),
+            ({"lexicon": {"path": "x.tsv", "source": "arxiv"}}, "lexicon.source: unknown config key"),
+            ({"classifiers": [{"algo": "knn", "parms": {}}]}, "classifiers.parms: unknown config key"),
+            ({"clusterers": [{"algo": "kmeans", "k": 3, "pca": 5}]}, "clusterers.pca: unknown config key"),
         ],
     )
     def test_bad_configs_name_the_field(self, tmp_path, overrides, match):
@@ -245,7 +249,7 @@ class TestClassificationGrid:
         plan = make_folds(len(corpus.documents), config.n_folds, config.seed)
         emb = EmbeddingParams(**{"seed": config.seed, **config.embedding_params})
         lex = load_lexicon(config.lexicon.path)
-        bags = [enrich(d, lex, config.lexicon.top_n, "append").tokens for d in corpus.documents]
+        bags = [enrich(d, lex, config.lexicon.top_n, "append") for d in corpus.documents]
         oracles = {}
         for clf in config.classifiers:
             for name in config.encodings:
@@ -517,8 +521,7 @@ class TestSubcommands:
             clusterers=[],
             n_folds=4,
         )
-        code = main(["run", str(config), "--jobs", "1",
-                     "--output-dir", str(tmp_path / "results")])
+        code = main(["run", str(config), "--output-dir", str(tmp_path / "results")])
         assert code == 0
         out = capsys.readouterr().out
         assert "best cell:" in out

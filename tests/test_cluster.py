@@ -11,7 +11,6 @@ from textmath import (
     ClustererSpec,
     KExceedsSamplesError,
     estimate_bandwidth,
-    fit_gmm_state,
     fit_predict_clusterer,
     gmm_loglik,
     purity,
@@ -137,7 +136,7 @@ class TestGmm:
 
     def test_loglik_monotone(self, far_blobs):
         X, _ = far_blobs
-        _, state = fit_gmm_state(X, k=2, seed=0)
+        _, state = cluster._fit_gmm(X.features, 2, DEFAULT_PARAMS["gmm"], 0)
         hist = state["loglik_history"]
         assert len(hist) >= 2
         assert all(b >= a_ - 1e-8 for a_, b in zip(hist, hist[1:]))
@@ -145,7 +144,7 @@ class TestGmm:
     def test_single_component_density_closed_form(self):
         rng = np.random.default_rng(4)
         X = rng.normal(2.0, 1.5, size=(40, 3))
-        _, state = fit_gmm_state(X, k=1, seed=0)
+        _, state = cluster._fit_gmm(X, 1, DEFAULT_PARAMS["gmm"], 0)
         mean = np.asarray(state["means"][0])
         var = np.asarray(state["variances"][0])
         got = gmm_loglik(state, mean[None, :])
@@ -154,7 +153,7 @@ class TestGmm:
 
     def test_responsibilities_confident_on_blobs(self, far_blobs):
         X, y = far_blobs
-        _, state = fit_gmm_state(X, k=2, seed=0)
+        _, state = cluster._fit_gmm(X.features, 2, DEFAULT_PARAMS["gmm"], 0)
         means = np.asarray(state["means"])
         variances = np.asarray(state["variances"])
         weights = np.asarray(state["weights"])
@@ -174,6 +173,13 @@ class TestGmm:
         resp = np.exp(log_p - log_p.max(axis=1, keepdims=True))
         resp /= resp.sum(axis=1, keepdims=True)
         assert np.all(resp.max(axis=1) >= 0.99)
+
+    def test_empty_kmeans_start_is_rejected(self):
+        # Seven rows, six distinct: the k = 7 k-means start leaves a
+        # component empty, which EM would turn into NaN log-likelihoods.
+        X = np.array([[0, 2], [2, 2], [0, 0], [2, 0], [1, 0], [0, 1], [0, 0]], dtype=float)
+        with pytest.raises(KExceedsSamplesError, match=r"k=7.*6 distinct rows"):
+            fit_predict_clusterer(ClustererSpec("gmm", k=7), make_matrix(X))
 
 
 class TestAffinity:
@@ -514,6 +520,12 @@ class TestAgainstReference:
     @given(X=tie_heavy_rows(), seed=st.integers(0, 3))
     def test_gmm_is_bit_identical(self, X, seed):
         for k in range(1, X.shape[0] + 1):
+            km_assign, _ = ref_fit_kmeans(X, k, DEFAULT_PARAMS["kmeans"], seed)
+            if len(np.unique(km_assign)) < k:
+                # The reference would run EM on an empty component's NaNs.
+                with pytest.raises(KExceedsSamplesError, match=f"k={k}"):
+                    cluster._fit_gmm(X, k, DEFAULT_PARAMS["gmm"], seed)
+                continue
             assign, state = cluster._fit_gmm(X, k, DEFAULT_PARAMS["gmm"], seed)
             want, ref = ref_fit_gmm(X, k, DEFAULT_PARAMS["gmm"], seed)
             assert same_bits(assign, want)

@@ -10,9 +10,12 @@ from textmath.embedding import (
     negative_sampling_loss,
     train_embedding,
 )
-from textmath.evaluate import cosine_similarity
 
 FIXTURE_PARAMS = EmbeddingParams(size=32, window=4, min_count=1, epochs=10, seed=1)
+
+
+def _cosine(u, v):
+    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def two_class_streams(n_docs=20, doc_len=60, vocab=50, seed=7):
@@ -86,7 +89,7 @@ class TestTraining:
         intra, inter = [], []
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
-                sim = cosine_similarity(vecs[i], vecs[j])
+                sim = _cosine(vecs[i], vecs[j])
                 (intra if labels[i] == labels[j] else inter).append(sim)
         assert np.mean(intra) > np.mean(inter)
 
@@ -125,9 +128,9 @@ class TestInference:
     def test_inferred_vector_prefers_own_document(self, trained_fixture):
         streams, labels, model = trained_fixture
         inferred = infer_doc_vector(model, streams[0])
-        own = cosine_similarity(inferred, model.doc_vectors[0])
+        own = _cosine(inferred, model.doc_vectors[0])
         other_class = [
-            cosine_similarity(inferred, model.doc_vectors[j])
+            _cosine(inferred, model.doc_vectors[j])
             for j in range(len(streams))
             if labels[j] != labels[0]
         ]

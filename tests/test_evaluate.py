@@ -1,6 +1,5 @@
 """Folds, accuracy, purity, correlation, runtimes, and report tables."""
 import math
-import time
 from collections import Counter
 
 import numpy as np
@@ -16,12 +15,10 @@ from textmath import (
     ZeroVarianceError,
     accuracy_score,
     build_report,
-    cosine_similarity,
     cross_validate,
     cross_validate_bags,
     generate_synthetic_corpus,
     make_folds,
-    measure_runtime,
     pearson,
     purity,
     text_math_correlation,
@@ -161,20 +158,6 @@ class TestPurity:
 
 
 class TestCosinePearson:
-    def test_cosine_self(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_cosine_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-
-    def test_cosine_45_degrees(self):
-        got = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    def test_cosine_zero_norm(self):
-        assert cosine_similarity(np.zeros(3), np.array([1.0, 1.0, 1.0])) == 0.0
-
     def test_pearson_scaled(self):
         xs = [1.0, 2.0, 5.0, 3.0]
         assert pearson(xs, [2 * v for v in xs]) == pytest.approx(1.0, abs=1e-12)
@@ -235,17 +218,6 @@ class TestTextMathCorrelation:
 
 
 class TestRuntimes:
-    def test_single_task_is_hundred(self):
-        out = measure_runtime([("only", lambda: None)])
-        assert out == {"only": 100.0}
-
-    def test_two_tasks_ratio(self):
-        out = measure_runtime(
-            [("fast", lambda: time.sleep(0.05)), ("slow", lambda: time.sleep(0.10))]
-        )
-        assert out["slow"] == 100.0
-        assert out["fast"] == pytest.approx(50.0, abs=10.0)
-
     def test_normalization_preserves_order(self):
         raw = {"a": 2.0, "b": 8.0, "c": 5.0}
         out = normalize_runtimes(raw)

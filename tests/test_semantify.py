@@ -56,16 +56,10 @@ class TestLoadLexicon:
         with pytest.raises(MalformedLineError):
             load_lexicon(path)
 
-    def test_unknown_source_rejected(self, tmp_path):
-        path = write_lexicon(tmp_path, "E\tenergy\t1\n")
-        with pytest.raises(ValueError):
-            load_lexicon(path, source="folklore")
-
 
 @pytest.fixture()
 def physics_lexicon():
     return Lexicon(
-        source="custom",
         entries={
             "E": [("energy", 9.0), ("electric field", 4.0)],
             "m": [("mass", 8.0)],
@@ -85,20 +79,18 @@ def physics_doc():
 
 class TestEnrich:
     def test_append_adds_names_after_text(self, physics_doc, physics_lexicon):
-        enriched = enrich(physics_doc, physics_lexicon, top_n=1, mode="append")
-        assert enriched.tokens == ["relation", "between", "quantities", "energy", "mass"]
-        assert enriched.doc_id == "p0"
-        assert enriched.top_n == 1
+        tokens = enrich(physics_doc, physics_lexicon, top_n=1, mode="append")
+        assert tokens == ["relation", "between", "quantities", "energy", "mass"]
 
     def test_append_with_empty_lexicon_keeps_text(self, physics_doc):
-        empty = Lexicon(source="custom", entries={})
-        enriched = enrich(physics_doc, empty, top_n=3, mode="append")
-        assert enriched.tokens == ["relation", "between", "quantities"]
+        empty = Lexicon(entries={})
+        tokens = enrich(physics_doc, empty, top_n=3, mode="append")
+        assert tokens == ["relation", "between", "quantities"]
 
     def test_top_n_beyond_candidates_adds_no_padding(self, physics_doc, physics_lexicon):
         # E has two candidates, m has one; top_n=3 must not invent more
-        enriched = enrich(physics_doc, physics_lexicon, top_n=3, mode="append")
-        assert enriched.tokens == [
+        tokens = enrich(physics_doc, physics_lexicon, top_n=3, mode="append")
+        assert tokens == [
             "relation", "between", "quantities",
             "energy", "electric", "field", "mass",
         ]
@@ -113,20 +105,20 @@ class TestEnrich:
                 formula(["+"], ["E", "c"], offset=1),
             ],
         )
-        enriched = enrich(doc, physics_lexicon, top_n=1, mode="append")
+        tokens = enrich(doc, physics_lexicon, top_n=1, mode="append")
         # one name token per E occurrence, two for the cleaned multi-word c
-        assert len(enriched.tokens) == 1 + 1 + 1 + 2
+        assert len(tokens) == 1 + 1 + 1 + 2
 
     def test_multiword_names_are_cleaned(self, physics_lexicon):
         doc = make_doc(id="p2", text_tokens=[], formulas=[formula([], ["c"], offset=0)])
-        enriched = enrich(doc, physics_lexicon, top_n=1, mode="append")
-        assert enriched.tokens == ["speed", "light"]
-        assert "of" not in enriched.tokens
+        tokens = enrich(doc, physics_lexicon, top_n=1, mode="append")
+        assert tokens == ["speed", "light"]
+        assert "of" not in tokens
 
     def test_replace_leaves_no_known_identifier_tokens(self, physics_doc, physics_lexicon):
-        enriched = enrich(physics_doc, physics_lexicon, top_n=1, mode="replace")
-        assert enriched.tokens == ["energy", "op:=", "mass"]
-        assert not any(t.startswith("id:") for t in enriched.tokens)
+        tokens = enrich(physics_doc, physics_lexicon, top_n=1, mode="replace")
+        assert tokens == ["energy", "op:=", "mass"]
+        assert not any(t.startswith("id:") for t in tokens)
 
     def test_replace_keeps_unknown_identifiers(self, physics_lexicon):
         doc = make_doc(
@@ -134,8 +126,8 @@ class TestEnrich:
             text_tokens=["ignored"],
             formulas=[formula(["<"], ["Q", "E"], offset=0, order="ioi")],
         )
-        enriched = enrich(doc, physics_lexicon, top_n=1, mode="replace")
-        assert enriched.tokens == ["id:Q", "op:<", "energy"]
+        tokens = enrich(doc, physics_lexicon, top_n=1, mode="replace")
+        assert tokens == ["id:Q", "op:<", "energy"]
 
     def test_invalid_mode_and_top_n(self, physics_doc, physics_lexicon):
         with pytest.raises(ValueError):
