@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -89,8 +89,14 @@ class ExperimentConfig:
             raise ConfigError("classifiers/clusterers: at least one algorithm is required")
         if self.n_folds < 2:
             raise ConfigError("n_folds: must be >= 2")
-        if self.lexicon is not None and not self.lexicon.path.is_file():
-            raise ConfigError(f"lexicon.path: file not found: {self.lexicon.path}")
+        if self.lexicon is not None:
+            if self.lexicon.mode not in MODES:
+                raise ConfigError(f"lexicon.mode: must be one of {MODES}")
+            top_n = self.lexicon.top_n
+            if not isinstance(top_n, int) or top_n < 1:
+                raise ConfigError("lexicon.top_n: must be a positive integer")
+            if not self.lexicon.path.is_file():
+                raise ConfigError(f"lexicon.path: file not found: {self.lexicon.path}")
 
 
 def _reject_unknown_keys(obj: dict[str, Any], known: type, prefix: str) -> None:
@@ -101,34 +107,22 @@ def _reject_unknown_keys(obj: dict[str, Any], known: type, prefix: str) -> None:
         raise ConfigError(", ".join(prefix + key for key in unknown) + ": unknown config key")
 
 
-def _spec_from_entry(entry: Any, kind: str) -> Any:
-    """Build a classifier/clusterer spec from a config entry (name or object)."""
-    if isinstance(entry, dict):
-        spec_type = ClassifierSpec if kind == "classifiers" else ClustererSpec
+def _spec_from_entry(entry: Any, spec_type: type, kind: str) -> Any:
+    """A classifier or clusterer spec from a config entry: an algo name, or
+    an object of the spec's fields whose omitted fields keep their defaults."""
+    if isinstance(entry, str):
+        entry = {"algo": entry}
+    elif isinstance(entry, dict):
         _reject_unknown_keys(entry, spec_type, f"{kind}.")
     try:
-        if kind == "classifiers":
-            if isinstance(entry, str):
-                return ClassifierSpec(algo=entry)
-            return ClassifierSpec(
-                algo=entry.get("algo", ""),
-                params=entry.get("params", {}),
-                seed=entry.get("seed", 0),
-            )
-        if isinstance(entry, str):
-            return ClustererSpec(algo=entry)
-        return ClustererSpec(
-            algo=entry.get("algo", ""),
-            k=entry.get("k"),
-            params=entry.get("params", {}),
-            seed=entry.get("seed", 0),
-            pca_dims=entry.get("pca_dims"),
-        )
-    except (ValueError, TypeError, AttributeError) as exc:
+        return spec_type(**entry)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{kind}: {exc}") from exc
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
+    """Read a JSON config. Paths resolve relative to the config file; a
+    field the file leaves out keeps its dataclass default."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -143,39 +137,59 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"{key}: required field is missing")
 
-    lexicon = None
-    if raw.get("lexicon") is not None:
-        lex = raw["lexicon"]
+    obj = {
+        **raw,
+        "corpus_manifest": path.parent / raw["corpus_manifest"],
+        "output_dir": path.parent / raw["output_dir"],
+    }
+    for kind, spec_type in (("classifiers", ClassifierSpec), ("clusterers", ClustererSpec)):
+        if kind in raw:
+            obj[kind] = [_spec_from_entry(e, spec_type, kind) for e in raw[kind]]
+    lex = raw.get("lexicon")
+    if lex is not None:
         if not isinstance(lex, dict) or "path" not in lex:
             raise ConfigError("lexicon: must be an object with a 'path' field")
         _reject_unknown_keys(lex, LexiconConfig, "lexicon.")
-        mode = lex.get("mode", "append")
-        if mode not in MODES:
-            raise ConfigError(f"lexicon.mode: must be one of {MODES}")
-        top_n = lex.get("top_n", DEFAULT_TOP_N)
-        if not isinstance(top_n, int) or top_n < 1:
-            raise ConfigError("lexicon.top_n: must be a positive integer")
-        lexicon = LexiconConfig(path=path.parent / lex["path"], top_n=top_n, mode=mode)
-
-    config = ExperimentConfig(
-        corpus_manifest=path.parent / raw["corpus_manifest"],
-        output_dir=path.parent / raw["output_dir"],
-        encodings=list(raw["encodings"]),
-        classifiers=[_spec_from_entry(e, "classifiers") for e in raw.get("classifiers", [])],
-        clusterers=[_spec_from_entry(e, "clusterers") for e in raw.get("clusterers", [])],
-        granularity=raw.get("granularity", "document"),
-        n_folds=raw.get("n_folds", 10),
-        seed=raw.get("seed", 0),
-        embedding_params=dict(raw.get("embedding_params", {})),
-        lexicon=lexicon,
-    )
+        obj["lexicon"] = LexiconConfig(**{**lex, "path": path.parent / lex["path"]})
+    config = ExperimentConfig(**obj)
     config.validate()
     return config
 
 
-def _cell_error(stage: str, cell: str, exc: Exception) -> dict[str, str]:
-    """The run record's entry for a cell left empty by ``exc``."""
-    return {"stage": stage, "cell": cell, "error": f"{type(exc).__name__}: {exc}"}
+@dataclass
+class _RunLog:
+    """What one ``run_experiment`` call records besides its tables: each
+    empty cell's error, every file written, and the per-cell fold
+    accuracies and cluster diagnostics."""
+
+    out: Path
+    errors: list[dict[str, str]] = field(default_factory=list)
+    written: list[str] = field(default_factory=list)
+    fold_accuracies: dict[str, list[float]] = field(default_factory=dict)
+    cluster_diagnostics: dict[str, dict[str, Any]] = field(default_factory=dict)
+
+    def error(self, stage: str, cell: str, exc: Exception) -> None:
+        """Record the cell that ``exc`` left empty."""
+        self.errors.append({"stage": stage, "cell": cell, "error": f"{type(exc).__name__}: {exc}"})
+
+    def file(self, name: str) -> Path:
+        """The path of output file ``name``, listed as written."""
+        self.written.append(name)
+        return self.out / name
+
+    def write_report(
+        self,
+        task: str,
+        title: str,
+        cells: dict[tuple[str, str], float | None],
+        raw_times: dict[str, float],
+    ) -> EvaluationReport:
+        """Write a task's grid to ``report_<task>.csv`` and ``.md``; the
+        ``Runtime [%]`` row scales ``raw_times`` to the slowest column."""
+        report = build_report(cells, normalize_runtimes(raw_times))
+        report.to_csv(self.file(f"report_{task}.csv"))
+        report.to_markdown(self.file(f"report_{task}.md"), title=title)
+        return report
 
 
 def _column_names(specs: list[Any]) -> list[str]:
@@ -211,8 +225,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     out.mkdir(parents=True, exist_ok=True)
     emb_params = _embedding_params(config)
     enc_specs = {name: parse_encoding_name(name, emb_params) for name in config.encodings}
-    errors: list[dict[str, str]] = []
-    written: list[str] = []
+    log = _RunLog(out)
 
     # Full-corpus matrices back clustering and the correlation table.
     matrices = {}
@@ -221,23 +234,14 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             _, matrices[name] = fit_encoder(spec, corpus.documents, stopwords=corpus.stopwords)
         except Exception as exc:  # degrade to an empty row
             matrices[name] = None
-            errors.append(_cell_error("encode", name, exc))
+            log.error("encode", name, exc)
 
-    clf_report = None
-    fold_accuracies: dict[str, list[float]] = {}
+    reports = []
     if config.classifiers:
-        clf_report = _run_classification_grid(
-            config, corpus, enc_specs, errors, written, fold_accuracies
-        )
-
-    clu_report = None
-    cluster_diagnostics: dict[str, dict[str, Any]] = {}
+        reports.append(_run_classification_grid(config, corpus, enc_specs, log))
     if config.clusterers:
-        clu_report = _run_clustering_grid(
-            config, corpus, matrices, errors, written, cluster_diagnostics
-        )
-
-    _write_correlations(config, matrices, errors, written)
+        reports.append(_run_clustering_grid(config, corpus, matrices, log))
+    _write_correlations(config, matrices, log)
 
     record = {
         "version": __version__,
@@ -249,48 +253,28 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         "label_set": corpus.label_set,
         "skipped_ids": corpus.skipped_ids,
         "encodings": config.encodings,
-        "classifiers": [
-            {"algo": s.algo, "params": s.params, "seed": s.seed} for s in config.classifiers
-        ],
-        "clusterers": [
-            {"algo": s.algo, "k": s.k, "params": s.params, "seed": s.seed, "pca_dims": s.pca_dims}
-            for s in config.clusterers
-        ],
-        "lexicon": None
-        if config.lexicon is None
-        else {
-            "path": str(config.lexicon.path),
-            "top_n": config.lexicon.top_n,
-            "mode": config.lexicon.mode,
-        },
-        "cell_errors": errors,
-        "fold_accuracies": fold_accuracies,
-        "cluster_diagnostics": cluster_diagnostics,
-        "files": sorted(written),
+        "classifiers": [asdict(s) for s in config.classifiers],
+        "clusterers": [asdict(s) for s in config.clusterers],
+        "lexicon": None if config.lexicon is None else asdict(config.lexicon),
+        "cell_errors": log.errors,
+        "fold_accuracies": log.fold_accuracies,
+        "cluster_diagnostics": log.cluster_diagnostics,
+        "files": sorted(log.written),
         "elapsed_seconds": time.time() - started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     (out / "run_record.json").write_text(
-        json.dumps(record, ensure_ascii=False, indent=2) + "\n", "utf-8"
+        json.dumps(record, ensure_ascii=False, indent=2, default=str) + "\n", "utf-8"
     )
-
-    report = clf_report if clf_report is not None else clu_report
-    assert report is not None  # validate() guarantees at least one grid
-    return report
+    return reports[0]  # validate() guarantees at least one grid
 
 
 def _run_classification_grid(
-    config: ExperimentConfig,
-    corpus: Corpus,
-    enc_specs: dict[str, EncodingSpec],
-    errors: list[dict[str, str]],
-    written: list[str],
-    fold_accuracies: dict[str, list[float]],
+    config: ExperimentConfig, corpus: Corpus, enc_specs: dict[str, EncodingSpec], log: _RunLog
 ) -> EvaluationReport:
     """Cross-validate every classifier on each row's folds. Each row's folds
     are encoded once and shared by its classifiers, so the runtime row times
     classifier fit and predict only."""
-    out = config.output_dir
     plan = make_folds(len(corpus.documents), config.n_folds, config.seed)
     col_names = _column_names(config.classifiers)
     cells: dict[tuple[str, str], float | None] = {}
@@ -308,24 +292,13 @@ def _run_classification_grid(
             cell = f"{row_name}/{col}"
             if isinstance(outcome, Exception):
                 cells[(row_name, col)] = None
-                errors.append(_cell_error("classify", cell, outcome))
+                log.error("classify", cell, outcome)
                 continue
             cells[(row_name, col)] = 100.0 * outcome.mean_accuracy
-            fold_accuracies[cell] = outcome.fold_accuracies
-            confusion_path = out / f"confusion_{row_name}_{col}.csv"
-            outcome.confusion.to_csv(confusion_path)
-            written.append(confusion_path.name)
+            log.fold_accuracies[cell] = outcome.fold_accuracies
+            outcome.confusion.to_csv(log.file(f"confusion_{row_name}_{col}.csv"))
             raw_times[col] += outcome.fit_predict_seconds
-
-    report = build_report(
-        cells,
-        normalize_runtimes(raw_times),
-        {"task": "classification", "granularity": config.granularity, "seed": config.seed},
-    )
-    report.to_csv(out / "report_classification.csv")
-    report.to_markdown(out / "report_classification.md", title="Classification accuracy [%]")
-    written += ["report_classification.csv", "report_classification.md"]
-    return report
+    return log.write_report("classification", "Classification accuracy [%]", cells, raw_times)
 
 
 def _cluster_summary(assignment: ClusterAssignment) -> dict[str, Any]:
@@ -349,16 +322,10 @@ def _cluster_summary(assignment: ClusterAssignment) -> dict[str, Any]:
 
 
 def _run_clustering_grid(
-    config: ExperimentConfig,
-    corpus: Corpus,
-    matrices: dict[str, Any],
-    errors: list[dict[str, str]],
-    written: list[str],
-    cluster_diagnostics: dict[str, dict[str, Any]],
+    config: ExperimentConfig, corpus: Corpus, matrices: dict[str, Any], log: _RunLog
 ) -> EvaluationReport:
     """Fit every clusterer on each row's full-corpus matrix. The runtime row
     times ``fit_predict_clusterer`` only, over the cells that succeeded."""
-    out = config.output_dir
     col_names = _column_names(config.clusterers)
     cells: dict[tuple[str, str], float | None] = {}
     raw_times: dict[str, float] = {c: 0.0 for c in col_names}
@@ -380,32 +347,18 @@ def _run_clustering_grid(
                 )
             except Exception as exc:
                 cells[(enc_name, col)] = None
-                errors.append(_cell_error("cluster", cell, exc))
+                log.error("cluster", cell, exc)
             else:
                 cells[(enc_name, col)] = 100.0 * macro
                 raw_times[col] += seconds
-                cluster_diagnostics[cell] = _cluster_summary(assignment)
-                dump_path = out / f"assignments_{enc_name}_{col}.csv"
-                dump_assignment(assignment, dump_path)
-                written += [dump_path.name, dump_path.name + ".json"]
-
-    report = build_report(
-        cells,
-        normalize_runtimes(raw_times),
-        {"task": "clustering", "granularity": config.granularity, "seed": config.seed},
-    )
-    report.to_csv(out / "report_clustering.csv")
-    report.to_markdown(out / "report_clustering.md", title="Clustering purity (macro) [%]")
-    written += ["report_clustering.csv", "report_clustering.md"]
-    return report
+                log.cluster_diagnostics[cell] = _cluster_summary(assignment)
+                name = f"assignments_{enc_name}_{col}.csv"
+                dump_assignment(assignment, log.file(name))
+                log.written.append(name + ".json")
+    return log.write_report("clustering", "Clustering purity (macro) [%]", cells, raw_times)
 
 
-def _write_correlations(
-    config: ExperimentConfig,
-    matrices: dict[str, Any],
-    errors: list[dict[str, str]],
-    written: list[str],
-) -> None:
+def _write_correlations(config: ExperimentConfig, matrices: dict[str, Any], log: _RunLog) -> None:
     lines = ["encoding_a,encoding_b,pearson_r"]
     names = [n for n in config.encodings if matrices.get(n) is not None]
     for i, a in enumerate(names):
@@ -415,10 +368,8 @@ def _write_correlations(
                 lines.append(f"{a},{b},{r:.6f}")
             except (ZeroVarianceError, ValueError) as exc:
                 lines.append(f"{a},{b},")
-                errors.append(_cell_error("correlate", f"{a}/{b}", exc))
-    path = config.output_dir / "correlations.csv"
-    path.write_text("\n".join(lines) + "\n", "utf-8")
-    written.append(path.name)
+                log.error("correlate", f"{a}/{b}", exc)
+    log.file("correlations.csv").write_text("\n".join(lines) + "\n", "utf-8")
 
 
 # --- subcommands ----------------------------------------------------------------

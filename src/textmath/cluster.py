@@ -182,6 +182,13 @@ def _fit_kmeans(
         if best is None or history[-1] < best[2][-1]:
             best = (assign, centers, history, iters)
     assign, centers, history, iters = best
+    if len(np.unique(assign)) < k:
+        # Lloyd's repair can refill one empty cluster by emptying another
+        # when rows repeat; the partition then has fewer than k clusters.
+        distinct = len(np.unique(X, axis=0))
+        raise KExceedsSamplesError(
+            f"k={k}: k-means left a cluster empty ({distinct} distinct rows)"
+        )
     return assign, {
         "inertia": history[-1],
         "inertia_history": history,
@@ -272,13 +279,10 @@ def _log_norm(weighted: np.ndarray) -> np.ndarray:
     return m.ravel() + np.log(np.exp(weighted - m).sum(axis=1))
 
 
-def gmm_loglik(state: dict[str, Any], X: np.ndarray | EncodedMatrix) -> float:
+def gmm_loglik(state: dict[str, Any], X: np.ndarray) -> float:
     """Total log-likelihood of X under a fitted diagonal mixture."""
-    if isinstance(X, EncodedMatrix):
-        X = X.features
-    X = np.asarray(X, dtype=np.float64)
-    log_p = _log_gauss_diag(X, np.asarray(state["means"]), np.asarray(state["variances"]))
-    return float(_log_norm(log_p + np.log(np.asarray(state["weights"]))).sum())
+    log_p = _log_gauss_diag(X, state["means"], state["variances"])
+    return float(_log_norm(log_p + np.log(state["weights"])).sum())
 
 
 def _fit_gmm(
@@ -287,15 +291,9 @@ def _fit_gmm(
     n, d = X.shape
     floor = params["cov_floor"]
     km_assign, km_diag = _fit_kmeans(X, k, DEFAULT_PARAMS["kmeans"], seed)
+    # _fit_kmeans raises rather than leave a cluster empty, so every
+    # component starts with a weight and a variance.
     counts = np.bincount(km_assign, minlength=k)
-    if (counts == 0).any():
-        # An empty component has no variance and zero weight; EM would run
-        # on NaNs from there.
-        distinct = len(np.unique(X, axis=0))
-        raise KExceedsSamplesError(
-            f"k={k}: the k-means start left a mixture component empty "
-            f"({distinct} distinct rows)"
-        )
     means = km_diag["centers"].copy()
     weights = counts / n
     variances = np.empty((k, d))

@@ -35,18 +35,6 @@ CONTENTS = (
 )
 METHODS = ("tfidf", "embedding")
 
-# Paper-style row labels: granularity prefix + content + method.
-_GRANULARITY_PREFIX = {"document": "doc", "section": "sec", "abstract": "abs"}
-_CONTENT_LABEL = {
-    "text": "Text",
-    "math_op": "Math_op",
-    "math_id": "Math_id",
-    "math_opid": "Math_opid",
-    "math_surroundings": "Math_surroundings",
-    "textmath_opid": "TextMath_opid",
-    "textmath_surroundings": "TextMath_surroundings",
-}
-
 
 @dataclass(frozen=True)
 class EncodingSpec:
@@ -67,14 +55,6 @@ class EncodingSpec:
     @property
     def name(self) -> str:
         return f"{self.content}_{self.method}"
-
-    def display_name(self, granularity: str = "document") -> str:
-        """Row label in the style of the result tables, e.g. docText_tfidf."""
-        prefix = _GRANULARITY_PREFIX[granularity]
-        content = _CONTENT_LABEL[self.content]
-        if self.method == "embedding":
-            return f"{prefix}2vec{content}"
-        return f"{prefix}{content}_tfidf"
 
 
 def parse_encoding_name(name: str, embedding_params: EmbeddingParams | None = None) -> EncodingSpec:

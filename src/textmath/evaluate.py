@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -350,7 +350,6 @@ class EvaluationReport:
     col_names: list[str]
     cells: dict[tuple[str, str], float | None]
     runtimes_percent: dict[str, float] = field(default_factory=dict)
-    metadata: dict[str, Any] = field(default_factory=dict)
     row_means: dict[str, float | None] = field(init=False)
     row_maxes: dict[str, float | None] = field(init=False)
     col_means: dict[str, float | None] = field(init=False)
@@ -465,9 +464,7 @@ class EvaluationReport:
 
 
 def build_report(
-    cells: dict[tuple[str, str], float | None],
-    runtimes: dict[str, float] | None = None,
-    metadata: dict[str, Any] | None = None,
+    cells: dict[tuple[str, str], float | None], runtimes: dict[str, float] | None = None
 ) -> EvaluationReport:
     """Assemble a report from grid cells keyed (row, column); row and column
     order follow first appearance in the cell mapping."""
@@ -485,5 +482,4 @@ def build_report(
         col_names=col_names,
         cells=dict(cells),
         runtimes_percent=dict(runtimes or {}),
-        metadata=dict(metadata or {}),
     )

@@ -9,7 +9,14 @@ import pytest
 
 import textmath
 from textmath import evaluate
-from textmath.cli import load_experiment_config, main, run_experiment
+from textmath.classify import ClassifierSpec
+from textmath.cli import (
+    ExperimentConfig,
+    LexiconConfig,
+    load_experiment_config,
+    main,
+    run_experiment,
+)
 from textmath.errors import ConfigError
 
 MINI_MANIFEST = Path(textmath.__file__).parent / "data" / "mini_corpus" / "manifest.json"
@@ -83,6 +90,24 @@ class TestConfigValidation:
         path.write_text("[1, 2]", "utf-8")
         with pytest.raises(ConfigError, match="top level"):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize("lexicon", [{"mode": "prepend"}, {"top_n": 0}])
+    def test_api_built_config_checks_the_lexicon(self, tmp_path, lexicon):
+        from textmath import load_corpus
+        from textmath.synth import class_lexicon_tsv
+
+        class_lexicon_tsv(load_corpus(MINI_MANIFEST), tmp_path / "lex.tsv")
+        config = ExperimentConfig(
+            corpus_manifest=MINI_MANIFEST,
+            output_dir=tmp_path / "out",
+            encodings=["text_tfidf"],
+            classifiers=[ClassifierSpec("knn")],
+            n_folds=2,
+            lexicon=LexiconConfig(tmp_path / "lex.tsv", **lexicon),
+        )
+        with pytest.raises(ConfigError, match="lexicon." + next(iter(lexicon))):
+            run_experiment(config)
+        assert not config.output_dir.exists()
 
     def test_paths_resolve_relative_to_config(self, tmp_path):
         nested = tmp_path / "nested"

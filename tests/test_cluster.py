@@ -12,11 +12,10 @@ from textmath import (
     KExceedsSamplesError,
     estimate_bandwidth,
     fit_predict_clusterer,
-    gmm_loglik,
     purity,
 )
 from textmath import cluster
-from textmath.cluster import DEFAULT_PARAMS
+from textmath.cluster import DEFAULT_PARAMS, gmm_loglik
 from tests.conftest import make_blobs, make_matrix
 
 
@@ -102,6 +101,13 @@ class TestKmeans:
         centers = np.stack([X.features[ids == c].mean(axis=0) for c in range(a.n_clusters)])
         d2 = ((X.features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(np.argmin(d2, axis=1), ids)
+
+    def test_empty_cluster_is_rejected(self):
+        # Seven rows, six distinct: at k = 7 Lloyd's repair cannot fill
+        # every cluster, and the partition would have six.
+        X = np.array([[0, 2], [2, 2], [0, 0], [2, 0], [1, 0], [0, 1], [0, 0]], dtype=float)
+        with pytest.raises(KExceedsSamplesError, match=r"k=7.*6 distinct rows"):
+            fit_predict_clusterer(ClustererSpec("kmeans", k=7), make_matrix(X))
 
 
 class TestAgglomerative:
@@ -508,8 +514,13 @@ class TestAgainstReference:
     def test_kmeans_is_bit_identical(self, X, seed):
         params = {"max_iter": 300, "n_restarts": 3}
         for k in range(1, X.shape[0] + 1):
-            assign, diag = cluster._fit_kmeans(X, k, params, seed)
             want, ref = ref_fit_kmeans(X, k, params, seed)
+            if len(np.unique(want)) < k:
+                # The reference returns fewer than k clusters.
+                with pytest.raises(KExceedsSamplesError, match=f"k={k}"):
+                    cluster._fit_kmeans(X, k, params, seed)
+                continue
+            assign, diag = cluster._fit_kmeans(X, k, params, seed)
             assert same_bits(assign, want)
             assert same_bits(diag["centers"], ref["centers"])
             assert same_bits(diag["inertia_history"], ref["inertia_history"])

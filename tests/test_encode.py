@@ -50,8 +50,6 @@ class TestEncodingSpec:
     def test_names(self):
         spec = EncodingSpec("math_opid", "tfidf")
         assert spec.name == "math_opid_tfidf"
-        assert spec.display_name() == "docMath_opid_tfidf"
-        assert EncodingSpec("text", "embedding").display_name() == "doc2vecText"
 
     def test_parse_round_trip(self):
         for content in ("text", "math_op", "math_id", "math_opid", "textmath_opid"):

@@ -1,5 +1,5 @@
 """The names the benchmark in ``perfbench/`` imports from the package, and
-full benchmark runs of two workloads.
+full benchmark runs of two workloads, one of them also traced.
 
 The benchmark wraps package functions by name and imports workload helpers
 from it. If one of them moves, a benchmark run fails before it prints its
@@ -16,10 +16,6 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-# Wrap targets allowed to be absent. A change that removes a wrapped function
-# on purpose lists it here, and the benchmark then leaves its metrics out.
-ALLOWED_MISSING: list[str] = []
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +36,9 @@ def perfbench():
 
 
 def test_every_wrap_target_exists(perfbench):
-    missing = perfbench["spans"].Tracer().missing
-    assert sorted(set(missing) - set(ALLOWED_MISSING)) == []
+    """A missing target drops its metrics from the result line, which then
+    lacks metrics that BENCHMARK.json declares."""
+    assert perfbench["spans"].Tracer().missing == []
 
 
 def test_declared_metrics_match(perfbench):
@@ -56,12 +53,18 @@ def test_workload_set_up_and_input_size(perfbench, tmp_path):
     assert set(size["vocabulary"]) == set(config.encodings)
 
 
-def run_benchmark(workload: str) -> None:
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not JSON")
+
+
+def run_benchmark(workload: str, trace: int = 0) -> tuple[list[str], dict]:
     """One benchmark run of ``workload`` with the minimum two calls; it must
-    exit 0, pass its output checks and report no failed cell."""
+    exit 0, pass its output checks and report no failed cell. Returns the
+    printed lines and the result line, parsed as strict JSON (no NaN or
+    Infinity)."""
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "0"],
+         "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         cwd=PERFBENCH.parent,
         capture_output=True,
         text=True,
@@ -70,9 +73,10 @@ def run_benchmark(workload: str) -> None:
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     lines = proc.stdout.strip().splitlines()
     assert any(line.endswith("checks passed") for line in lines), proc.stdout[-3000:]
-    result = json.loads(lines[-1])
+    result = json.loads(lines[-1], parse_constant=_reject_constant)
     assert result["correct"] is True
     assert result["failed"] == 0
+    return lines, result
 
 
 def test_one_benchmark_run_passes_its_checks():
@@ -85,3 +89,14 @@ def test_cluster_full_run_passes_its_checks():
     """cluster_full (about 6 s): all five clusterers, Ward and mean shift
     among them, on 350 long documents."""
     run_benchmark("cluster_full")
+
+
+def test_traced_run_reports_every_declared_metric():
+    """grid_tfidf traced (about 30 s): no wrap target is missing, and the
+    result line carries exactly the per-layer metrics BENCHMARK.json
+    declares."""
+    lines, result = run_benchmark("grid_tfidf", trace=1)
+    missing = [line.split(" ", 1)[1] for line in lines if line.startswith("trace.missing ")]
+    assert missing == ["[]"]
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text("utf-8"))
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared["per_layer"])
