@@ -6,6 +6,11 @@ one-hidden-layer MLP, a CART decision tree, and a random forest. Every fit
 is deterministic for a fixed seed, and every algorithm exposes per-class
 scores; prediction takes the highest.
 
+A tree node searches all its candidate features in one batch of array
+operations. A fitted tree or forest is one table of node arrays
+(``Tree``), and prediction moves every (tree, row) pair down it together,
+one level per step.
+
 Tie policy: equal scores resolve by label_set order, equal distances by
 lower sample index, equal split gains by lower feature index then lower
 threshold.
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -59,7 +64,27 @@ class ClassifierSpec:
             raise ValueError("knn.k must be >= 1")
         if self.algo == "mlp" and merged["hidden"] < 1:
             raise ValueError("mlp.hidden must be >= 1")
+        if self.algo == "randforest":
+            _check_forest_params(merged)
         object.__setattr__(self, "params", merged)
+
+
+def _is_count(value: Any) -> bool:
+    """An integer >= 1 that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _check_forest_params(params: dict[str, Any]) -> None:
+    if not _is_count(params["n_trees"]):
+        raise ValueError(f"randforest.n_trees must be an integer >= 1, got {params['n_trees']!r}")
+    if not isinstance(params["bootstrap"], bool):
+        raise ValueError(f"randforest.bootstrap must be true or false, got {params['bootstrap']!r}")
+    max_features = params["max_features"]
+    if not (max_features == "sqrt" or max_features is None or _is_count(max_features)):
+        raise ValueError(
+            'randforest.max_features must be "sqrt", null or an integer >= 1, '
+            f"got {max_features!r}"
+        )
 
 
 @dataclass
@@ -299,37 +324,60 @@ def _scores_mlp(state: dict[str, Any], X: np.ndarray, n_classes: int) -> np.ndar
 
 # --- CART decision tree -----------------------------------------------------
 
+# Largest (rows, features, classes) one-hot that one block of _best_split
+# builds; a wider node is searched in feature blocks, in feature order.
+_SPLIT_BLOCK = 1 << 20
+
+
+class Tree(NamedTuple):
+    """Fitted CART trees as node arrays, one entry per node. Each tree's
+    nodes lie in depth-first preorder from its root (node 0 for a single
+    tree). An inner node sends a row to ``left`` when
+    ``row[feature] <= threshold``, else to ``right``. A leaf has
+    ``feature``, ``left`` and ``right`` -1, threshold NaN, and its training
+    rows' class fractions as its ``dist`` row; inner nodes' rows are zero."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    dist: np.ndarray
+
 
 def _best_split(
     X: np.ndarray, y_idx: np.ndarray, rows: np.ndarray, n_classes: int, features: np.ndarray
 ) -> tuple[int, float] | None:
-    """Lowest-weighted-Gini (feature, threshold); ties favor the earliest."""
+    """Lowest-weighted-Gini (feature, threshold) over all candidate features
+    at once; ties favor the earliest feature, then the lowest threshold.
+    None when every candidate is constant on ``rows``."""
     n = len(rows)
-    best = None
-    best_score = math.inf
-    for f in features:
-        vals = X[rows, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        if sv[0] == sv[-1]:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y_idx[rows][order]] = 1.0
-        left = np.cumsum(onehot, axis=0)[:-1]  # counts left of each boundary
-        total = left[-1] + onehot[-1]
-        right = total - left
-        nl = np.arange(1, n)
-        nr = n - nl
-        gini_l = 1.0 - (left**2).sum(axis=1) / nl**2
-        gini_r = 1.0 - (right**2).sum(axis=1) / nr**2
+    y = y_idx[rows]
+    classes = np.arange(n_classes)
+    nl = np.arange(1, n)[:, None]  # rows left of each boundary
+    nr = n - nl
+    step = max(1, _SPLIT_BLOCK // (n * n_classes))
+    scores, thresholds = [], []
+    for start in range(0, len(features), step):
+        V = X[rows[:, None], features[start : start + step]]
+        cols = np.arange(V.shape[1])
+        order = V.argsort(axis=0, kind="stable")
+        SV = V[order, cols]
+        counts = (y[order][:, :, None] == classes).astype(np.float64).cumsum(axis=0)
+        left = counts[:-1]  # class counts left of each boundary
+        right = counts[-1] - left
+        # Counts are whole numbers, so these sums of squares are exact.
+        gini_l = 1.0 - np.einsum("bfc,bfc->bf", left, left) / nl**2
+        gini_r = 1.0 - np.einsum("bfc,bfc->bf", right, right) / nr**2
         weighted = (nl * gini_l + nr * gini_r) / n
-        valid = sv[:-1] < sv[1:]
-        weighted[~valid] = math.inf
-        pos = int(np.argmin(weighted))
-        if weighted[pos] < best_score:
-            best_score = weighted[pos]
-            best = (int(f), float((sv[pos] + sv[pos + 1]) / 2.0))
-    return best
+        weighted[~(SV[:-1] < SV[1:])] = math.inf
+        pos = weighted.argmin(axis=0)
+        scores.append(weighted[pos, cols])
+        thresholds.append((SV[pos, cols] + SV[pos + 1, cols]) / 2.0)
+    score = np.concatenate(scores)
+    best = int(np.argmin(score))
+    if score[best] == math.inf:
+        return None
+    return int(features[best]), float(np.concatenate(thresholds)[best])
 
 
 def _grow_tree(
@@ -339,54 +387,99 @@ def _grow_tree(
     n_classes: int,
     rng: np.random.Generator | None,
     max_features: int | None,
-) -> list[dict[str, Any]]:
-    """Depth-first node list; leaves carry class-fraction distributions."""
-    nodes: list[dict[str, Any]] = []
+) -> Tree:
+    """Grow a CART tree on ``rows`` depth first and store it as node arrays
+    (see ``Tree``), which ``class_scores`` reads by a vectorised descent.
 
-    def leaf(rows_: np.ndarray) -> int:
-        counts = np.bincount(y_idx[rows_], minlength=n_classes)
-        nodes.append({"dist": (counts / counts.sum()).tolist()})
-        return len(nodes) - 1
-
-    def grow(rows_: np.ndarray) -> int:
-        if len(np.unique(y_idx[rows_])) == 1:
-            return leaf(rows_)
-        d = X.shape[1]
-        if max_features is None or max_features >= d:
-            features = np.arange(d)
-        else:
-            features = np.sort(rng.choice(d, size=max_features, replace=False))
-        split = _best_split(X, y_idx, rows_, n_classes, features)
-        if split is None and max_features is not None and max_features < d:
-            # Subsampled features were all constant; retry over every feature.
-            split = _best_split(X, y_idx, rows_, n_classes, np.arange(d))
+    Each impure node splits on ``max_features`` features that ``rng`` draws,
+    in preorder, or on every feature when ``max_features`` is None; if the
+    drawn features are all constant there, every feature is searched,
+    without a further draw."""
+    d = X.shape[1]
+    subsample = max_features is not None and max_features < d
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    dist: list[np.ndarray] = []
+    stack = [(rows, left, -1)]  # (rows, parent's child list, parent)
+    while stack:
+        rows_, children, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            children[parent] = node
+        left.append(-1)
+        right.append(-1)
+        y = y_idx[rows_]
+        split = None
+        if not (y == y[0]).all():
+            if subsample:
+                features = np.sort(rng.choice(d, size=max_features, replace=False))
+            else:
+                features = np.arange(d)
+            split = _best_split(X, y_idx, rows_, n_classes, features)
+            if split is None and subsample:
+                split = _best_split(X, y_idx, rows_, n_classes, np.arange(d))
         if split is None:
-            return leaf(rows_)
-        f, threshold = split
-        node_id = len(nodes)
-        nodes.append({"feature": f, "threshold": threshold, "left": -1, "right": -1})
-        go_left = X[rows_, f] <= threshold
-        nodes[node_id]["left"] = grow(rows_[go_left])
-        nodes[node_id]["right"] = grow(rows_[~go_left])
-        return node_id
+            feature.append(-1)
+            threshold.append(math.nan)
+            counts = np.bincount(y, minlength=n_classes)
+            dist.append(counts / counts.sum())
+            continue
+        f, t = split
+        feature.append(f)
+        threshold.append(t)
+        dist.append(np.zeros(n_classes))
+        go_left = X[rows_, f] <= t
+        stack.append((rows_[~go_left], right, node))
+        stack.append((rows_[go_left], left, node))
+    return Tree(
+        np.array(feature, dtype=np.intp),
+        np.array(threshold),
+        np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp),
+        np.array(dist),
+    )
 
-    grow(rows)
-    return nodes
+
+def _join_trees(trees: list[Tree]) -> dict[str, Any]:
+    """A fitted tree learner's state: one node table ``nodes`` that holds
+    the trees one after another, child indices shifted to match, and each
+    tree's root node in ``roots``."""
+    roots = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
+
+    def shifted(children: np.ndarray, root: int) -> np.ndarray:
+        return np.where(children >= 0, children + root, -1)
+
+    nodes = Tree(
+        np.concatenate([tree.feature for tree in trees]),
+        np.concatenate([tree.threshold for tree in trees]),
+        np.concatenate([shifted(tree.left, root) for tree, root in zip(trees, roots)]),
+        np.concatenate([shifted(tree.right, root) for tree, root in zip(trees, roots)]),
+        np.concatenate([tree.dist for tree in trees]),
+    )
+    return {"nodes": nodes, "roots": roots}
 
 
-def _tree_scores(nodes: list[dict[str, Any]], X: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((X.shape[0], n_classes))
-    for i, x in enumerate(X):
-        node = nodes[0]
-        while "feature" in node:
-            node = nodes[node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]]
-        out[i] = node["dist"]
-    return out
+def _tree_scores(nodes: Tree, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """(roots, rows, classes): the leaf ``dist`` each row reaches from each
+    root, all (root, row) pairs descending one level per step."""
+    n = X.shape[0]
+    node = np.repeat(roots, n)
+    row = np.tile(np.arange(n), len(roots))
+    active = np.arange(node.size)
+    while active.size:
+        at = node[active]
+        f = nodes.feature[at]
+        inner = f >= 0
+        active, at, f = active[inner], at[inner], f[inner]
+        go_left = X[row[active], f] <= nodes.threshold[at]
+        node[active] = np.where(go_left, nodes.left[at], nodes.right[at])
+    return nodes.dist[node].reshape(len(roots), n, -1)
 
 
 def _fit_dectree(X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> dict[str, Any]:
-    nodes = _grow_tree(X, y_idx, np.arange(X.shape[0]), n_classes, None, None)
-    return {"nodes": nodes}
+    return _join_trees([_grow_tree(X, y_idx, np.arange(X.shape[0]), n_classes, None, None)])
 
 
 def _fit_randforest(
@@ -402,7 +495,7 @@ def _fit_randforest(
         rng = np.random.default_rng(ss)
         rows = rng.integers(n, size=n) if params["bootstrap"] else np.arange(n)
         trees.append(_grow_tree(X, y_idx, rows, n_classes, rng, max_features))
-    return {"trees": trees}
+    return _join_trees(trees)
 
 
 # --- shared entry points -----------------------------------------------------
@@ -464,9 +557,8 @@ def class_scores(model: ClassifierModel, X: EncodedMatrix | np.ndarray) -> np.nd
         return _scores_knn(model.state, features, n_classes)
     if algo == "mlp":
         return _scores_mlp(model.state, features, n_classes)
-    if algo == "dectree":
-        return _tree_scores(model.state["nodes"], features, n_classes)
-    per_tree = [_tree_scores(nodes, features, n_classes) for nodes in model.state["trees"]]
+    # A tree's leaf fractions, or their mean over the forest's trees.
+    per_tree = _tree_scores(model.state["nodes"], features, model.state["roots"])
     return np.mean(per_tree, axis=0)
 
 

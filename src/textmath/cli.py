@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError(f"corpus_manifest: file not found: {self.corpus_manifest}")
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"granularity: must be one of {GRANULARITIES}")
+        if not isinstance(self.encodings, list) or not all(
+            isinstance(name, str) for name in self.encodings
+        ):
+            raise ConfigError("encodings: must be a list of encoding names")
         if not self.encodings:
             raise ConfigError("encodings: at least one encoding is required")
         for name in self.encodings:
@@ -87,16 +91,25 @@ class ExperimentConfig:
                 raise ConfigError(f"encodings: {exc}") from exc
         if not self.classifiers and not self.clusterers:
             raise ConfigError("classifiers/clusterers: at least one algorithm is required")
-        if self.n_folds < 2:
-            raise ConfigError("n_folds: must be >= 2")
+        if not _is_int(self.n_folds) or self.n_folds < 2:
+            raise ConfigError("n_folds: must be an integer >= 2")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("seed: must be a non-negative integer")
+        if not isinstance(self.embedding_params, dict):
+            raise ConfigError("embedding_params: must be an object")
         if self.lexicon is not None:
             if self.lexicon.mode not in MODES:
                 raise ConfigError(f"lexicon.mode: must be one of {MODES}")
             top_n = self.lexicon.top_n
-            if not isinstance(top_n, int) or top_n < 1:
+            if not _is_int(top_n) or top_n < 1:
                 raise ConfigError("lexicon.top_n: must be a positive integer")
             if not self.lexicon.path.is_file():
                 raise ConfigError(f"lexicon.path: file not found: {self.lexicon.path}")
+
+
+def _is_int(value: Any) -> bool:
+    """An integer, and not a bool, which Python also counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reject_unknown_keys(obj: dict[str, Any], known: type, prefix: str) -> None:

@@ -1,5 +1,7 @@
 """Six classifiers: fixtures, gradient checks, and shared invariants."""
+import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from textmath import (
     fit_classifier,
     predict,
 )
-from textmath.classify import logreg_objective, mlp_objective, svc_objective
+from textmath import classify
+from textmath.classify import class_scores, logreg_objective, mlp_objective, svc_objective
 from tests.conftest import make_blobs, make_matrix
 
 ALL_ALGOS = ["logreg", "linear_svc", "knn", "mlp", "dectree", "randforest"]
@@ -210,3 +213,247 @@ class TestPrediction:
         want = ["b0"] * 10 + ["b1"] * 10
         assert predict(model, make_matrix(fresh)) == want
 
+
+
+class TestForestParams:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"n_trees": 0},
+            {"n_trees": -3},
+            {"n_trees": 2.5},
+            {"n_trees": "10"},
+            {"n_trees": True},
+            {"bootstrap": 1},
+            {"bootstrap": "yes"},
+            {"bootstrap": None},
+            {"max_features": "log2"},
+            {"max_features": 2.5},
+            {"max_features": 0},
+            {"max_features": -1},
+            {"max_features": True},
+            {"max_features": "3"},
+        ],
+    )
+    def test_bad_values_are_rejected(self, params):
+        with pytest.raises(ValueError, match="randforest." + next(iter(params))):
+            ClassifierSpec("randforest", params=params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"n_trees": 1},
+            {"bootstrap": False},
+            {"bootstrap": True},
+            {"max_features": 1},
+            {"max_features": None},
+            {"max_features": "sqrt"},
+            {"max_features": 50},  # more than the data has: every feature
+        ],
+    )
+    def test_boundary_values_fit(self, params, blobs2):
+        X, y = blobs2
+        spec = ClassifierSpec("randforest", params={"n_trees": 3, **params})
+        assert predict(fit_classifier(spec, X, y), X) == y
+
+
+# --- reference CART: one _best_split pass per candidate feature and a
+# dict per node, as the trees were before they became node arrays ---------
+
+
+def ref_best_split(X, y_idx, rows, n_classes, features):
+    n = len(rows)
+    best = None
+    best_score = math.inf
+    for f in features:
+        vals = X[rows, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        if sv[0] == sv[-1]:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), y_idx[rows][order]] = 1.0
+        left = np.cumsum(onehot, axis=0)[:-1]
+        total = left[-1] + onehot[-1]
+        right = total - left
+        nl = np.arange(1, n)
+        nr = n - nl
+        gini_l = 1.0 - (left**2).sum(axis=1) / nl**2
+        gini_r = 1.0 - (right**2).sum(axis=1) / nr**2
+        weighted = (nl * gini_l + nr * gini_r) / n
+        valid = sv[:-1] < sv[1:]
+        weighted[~valid] = math.inf
+        pos = int(np.argmin(weighted))
+        if weighted[pos] < best_score:
+            best_score = weighted[pos]
+            best = (int(f), float((sv[pos] + sv[pos + 1]) / 2.0))
+    return best
+
+
+def ref_grow_tree(X, y_idx, rows, n_classes, rng, max_features, fallbacks):
+    """The node list, depth first; ``fallbacks`` counts the nodes whose
+    drawn features were all constant."""
+    nodes = []
+
+    def leaf(rows_):
+        counts = np.bincount(y_idx[rows_], minlength=n_classes)
+        nodes.append({"dist": (counts / counts.sum()).tolist()})
+        return len(nodes) - 1
+
+    def grow(rows_):
+        if len(np.unique(y_idx[rows_])) == 1:
+            return leaf(rows_)
+        d = X.shape[1]
+        if max_features is None or max_features >= d:
+            features = np.arange(d)
+        else:
+            features = np.sort(rng.choice(d, size=max_features, replace=False))
+        split = ref_best_split(X, y_idx, rows_, n_classes, features)
+        if split is None and max_features is not None and max_features < d:
+            split = ref_best_split(X, y_idx, rows_, n_classes, np.arange(d))
+            fallbacks.append(split is not None)
+        if split is None:
+            return leaf(rows_)
+        f, threshold = split
+        node_id = len(nodes)
+        nodes.append({"feature": f, "threshold": threshold, "left": -1, "right": -1})
+        go_left = X[rows_, f] <= threshold
+        nodes[node_id]["left"] = grow(rows_[go_left])
+        nodes[node_id]["right"] = grow(rows_[~go_left])
+        return node_id
+
+    grow(rows)
+    return nodes
+
+
+def ref_tree_scores(nodes, X, n_classes):
+    out = np.zeros((X.shape[0], n_classes))
+    for i, x in enumerate(X):
+        node = nodes[0]
+        while "feature" in node:
+            node = nodes[node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]]
+        out[i] = node["dist"]
+    return out
+
+
+def ref_forest(X, y_idx, n_classes, params, seed, fallbacks):
+    n, d = X.shape
+    if params["max_features"] == "sqrt":
+        max_features = max(1, int(math.sqrt(d)))
+    else:
+        max_features = params["max_features"]
+    trees = []
+    for ss in np.random.SeedSequence(seed).spawn(params["n_trees"]):
+        rng = np.random.default_rng(ss)
+        rows = rng.integers(n, size=n) if params["bootstrap"] else np.arange(n)
+        trees.append(ref_grow_tree(X, y_idx, rows, n_classes, rng, max_features, fallbacks))
+    return trees
+
+
+def tree_data(seed, n=36, d=9, n_classes=4):
+    """Small integer grid values (many ties), a few duplicated rows with a
+    different label, and constant columns: most of the columns, so that a
+    small feature draw is often all constant and the full search runs."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    X[:, rng.choice(d, size=d - 3, replace=False)] = rng.integers(0, 3, size=d - 3)
+    y_idx = rng.integers(0, n_classes, size=n)
+    dup = rng.choice(n, size=4, replace=False)
+    X[dup[:2]] = X[dup[2:]]
+    y_idx[dup[:2]] = (y_idx[dup[2:]] + 1) % n_classes
+    return X, y_idx
+
+
+def assert_same_tree(table, nodes, root=0):
+    """The tree at ``root`` of the node table equals the reference nodes."""
+    for i, node in enumerate(nodes):
+        at = root + i
+        if "feature" in node:
+            assert (table.feature[at], table.left[at], table.right[at]) == (
+                node["feature"], root + node["left"], root + node["right"],
+            )
+            assert table.threshold[at] == node["threshold"]
+            assert not table.dist[at].any()
+        else:
+            assert (table.feature[at], table.left[at], table.right[at]) == (-1, -1, -1)
+            assert np.array_equal(table.dist[at], node["dist"])
+
+
+FOREST_PARAMS = [
+    {"bootstrap": True, "max_features": "sqrt"},
+    {"bootstrap": False, "max_features": "sqrt"},
+    {"bootstrap": True, "max_features": None},
+    {"bootstrap": False, "max_features": None},
+    {"bootstrap": True, "max_features": 1},
+    {"bootstrap": False, "max_features": 2},
+]
+
+
+class TestTreesAgainstReference:
+    """The batched split and the node arrays grow the same trees, draw the
+    same random numbers and give bit-identical scores as the per-feature
+    search with dict nodes."""
+
+    # 1: every candidate feature is searched in its own block, so the
+    # earliest-feature tie rule must hold across blocks too.
+    @pytest.fixture(params=[classify._SPLIT_BLOCK, 1], ids=["one_block", "per_feature_blocks"])
+    def split_block(self, request):
+        with mock.patch.object(classify, "_SPLIT_BLOCK", request.param):
+            yield
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dectree(self, seed, split_block):
+        X, y_idx = tree_data(seed)
+        n_classes = 4
+        nodes = ref_grow_tree(X, y_idx, np.arange(len(X)), n_classes, None, None, [])
+        labels = [f"c{i}" for i in range(n_classes)]
+        model = fit_classifier(
+            ClassifierSpec("dectree"), X, [labels[i] for i in y_idx], label_set=labels
+        )
+        assert list(model.state["roots"]) == [0]
+        assert len(model.state["nodes"].feature) == len(nodes)
+        assert_same_tree(model.state["nodes"], nodes)
+        probe = np.random.default_rng(seed + 100).integers(-1, 4, size=(50, X.shape[1]))
+        probe = np.vstack([X, probe.astype(np.float64)])
+        want = ref_tree_scores(nodes, probe, n_classes)
+        assert class_scores(model, probe).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("params", FOREST_PARAMS, ids=str)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_randforest(self, seed, params, split_block):
+        X, y_idx = tree_data(seed + 10)
+        n_classes = 4
+        params = {"n_trees": 12, **params}
+        fallbacks = []
+        ref_trees = ref_forest(X, y_idx, n_classes, params, seed, fallbacks)
+        labels = [f"c{i}" for i in range(n_classes)]
+        model = fit_classifier(
+            ClassifierSpec("randforest", params=params, seed=seed),
+            X,
+            [labels[i] for i in y_idx],
+            label_set=labels,
+        )
+        sizes = [len(nodes) for nodes in ref_trees]
+        assert list(model.state["roots"]) == [sum(sizes[:t]) for t in range(len(sizes))]
+        assert len(model.state["nodes"].feature) == sum(sizes)
+        for root, nodes in zip(model.state["roots"], ref_trees):
+            assert_same_tree(model.state["nodes"], nodes, root)
+        probe = np.random.default_rng(seed + 200).integers(-1, 4, size=(50, X.shape[1]))
+        probe = np.vstack([X, probe.astype(np.float64)])
+        want = np.mean([ref_tree_scores(nodes, probe, n_classes) for nodes in ref_trees], axis=0)
+        assert class_scores(model, probe).tobytes() == want.tobytes()
+        if params["max_features"] == 1:
+            # Most columns are constant, so some single-feature draws were.
+            assert any(fallbacks)
+
+    def test_continuous_features(self, split_block):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(60, 30))
+        y_idx = rng.integers(0, 5, size=60)
+        for seed in range(3):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            tree = classify._grow_tree(X, y_idx, np.arange(60), 5, rng_a, 5)
+            nodes = ref_grow_tree(X, y_idx, np.arange(60), 5, rng_b, 5, [])
+            assert len(tree.feature) == len(nodes)
+            assert_same_tree(tree, nodes)
+            assert rng_a.random() == rng_b.random()  # the same number of draws

@@ -68,6 +68,20 @@ class TestConfigValidation:
             ({"lexicon": {"path": "x.tsv", "source": "arxiv"}}, "lexicon.source: unknown config key"),
             ({"classifiers": [{"algo": "knn", "parms": {}}]}, "classifiers.parms: unknown config key"),
             ({"clusterers": [{"algo": "kmeans", "k": 3, "pca": 5}]}, "clusterers.pca: unknown config key"),
+            ({"n_folds": "5"}, "n_folds"),
+            ({"n_folds": 2.5}, "n_folds"),
+            ({"seed": "x"}, "seed"),
+            ({"seed": 1.0}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"embedding_params": 5}, "embedding_params"),
+            ({"embedding_params": ["size", 50]}, "embedding_params"),
+            ({"encodings": "text_tfidf"}, "encodings: must be a list"),
+            ({"encodings": ["text_tfidf", 3]}, "encodings: must be a list"),
+            ({"lexicon": {"path": "x.tsv", "top_n": True}}, "lexicon.top_n"),
+            ({"classifiers": [{"algo": "randforest", "params": {"n_trees": 0}}]}, "n_trees"),
+            ({"classifiers": [{"algo": "randforest", "params": {"max_features": "log2"}}]},
+             "max_features"),
         ],
     )
     def test_bad_configs_name_the_field(self, tmp_path, overrides, match):
