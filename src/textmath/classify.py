@@ -24,10 +24,12 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .encode import EncodedMatrix
-from .errors import DimensionMismatchError, SingleClassTrainingError
+from .errors import DimensionMismatchError, SingleClassTrainingError, check_int, is_int
 
 ALGOS = ("logreg", "linear_svc", "knn", "mlp", "dectree", "randforest")
 
+# A param whose default is an integer is a count: any value given for it must
+# be an integer >= 1.
 DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
     "logreg": {"C": 1.0, "max_epochs": 1000, "tol": 1e-4},
     "linear_svc": {"C": 1.0, "max_epochs": 1000},
@@ -60,31 +62,21 @@ class ClassifierSpec:
         if unknown:
             raise ValueError(f"unknown {self.algo} params: {sorted(unknown)}")
         merged = {**DEFAULT_PARAMS[self.algo], **self.params}
-        if self.algo == "knn" and merged["k"] < 1:
-            raise ValueError("knn.k must be >= 1")
-        if self.algo == "mlp" and merged["hidden"] < 1:
-            raise ValueError("mlp.hidden must be >= 1")
+        check_int(f"{self.algo}.seed", self.seed, 0)
+        for name, default in DEFAULT_PARAMS[self.algo].items():
+            if is_int(default, 1):
+                check_int(f"{self.algo}.{name}", merged[name], 1)
         if self.algo == "randforest":
-            _check_forest_params(merged)
+            bootstrap = merged["bootstrap"]
+            if not isinstance(bootstrap, bool):
+                raise ValueError(f"randforest.bootstrap must be true or false, got {bootstrap!r}")
+            max_features = merged["max_features"]
+            if not (max_features == "sqrt" or max_features is None or is_int(max_features, 1)):
+                raise ValueError(
+                    'randforest.max_features must be "sqrt", null or an integer >= 1, '
+                    f"got {max_features!r}"
+                )
         object.__setattr__(self, "params", merged)
-
-
-def _is_count(value: Any) -> bool:
-    """An integer >= 1 that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _check_forest_params(params: dict[str, Any]) -> None:
-    if not _is_count(params["n_trees"]):
-        raise ValueError(f"randforest.n_trees must be an integer >= 1, got {params['n_trees']!r}")
-    if not isinstance(params["bootstrap"], bool):
-        raise ValueError(f"randforest.bootstrap must be true or false, got {params['bootstrap']!r}")
-    max_features = params["max_features"]
-    if not (max_features == "sqrt" or max_features is None or _is_count(max_features)):
-        raise ValueError(
-            'randforest.max_features must be "sqrt", null or an integer >= 1, '
-            f"got {max_features!r}"
-        )
 
 
 @dataclass

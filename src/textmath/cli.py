@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .embedding import EmbeddingParams
 from .encode import EncodingSpec, fit_encoder, parse_encoding_name
-from .errors import ConfigError, TextMathError, ZeroVarianceError
+from .errors import ConfigError, TextMathError, ZeroVarianceError, check_int
 from .evaluate import (
     EvaluationReport,
     bag_folds,
@@ -91,25 +91,17 @@ class ExperimentConfig:
                 raise ConfigError(f"encodings: {exc}") from exc
         if not self.classifiers and not self.clusterers:
             raise ConfigError("classifiers/clusterers: at least one algorithm is required")
-        if not _is_int(self.n_folds) or self.n_folds < 2:
-            raise ConfigError("n_folds: must be an integer >= 2")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError("seed: must be a non-negative integer")
+        check_int("n_folds", self.n_folds, 2, ConfigError)
+        check_int("seed", self.seed, 0, ConfigError)
         if not isinstance(self.embedding_params, dict):
             raise ConfigError("embedding_params: must be an object")
+        _embedding_params(self)
         if self.lexicon is not None:
             if self.lexicon.mode not in MODES:
                 raise ConfigError(f"lexicon.mode: must be one of {MODES}")
-            top_n = self.lexicon.top_n
-            if not _is_int(top_n) or top_n < 1:
-                raise ConfigError("lexicon.top_n: must be a positive integer")
+            check_int("lexicon.top_n", self.lexicon.top_n, 1, ConfigError)
             if not self.lexicon.path.is_file():
                 raise ConfigError(f"lexicon.path: file not found: {self.lexicon.path}")
-
-
-def _is_int(value: Any) -> bool:
-    """An integer, and not a bool, which Python also counts as one."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reject_unknown_keys(obj: dict[str, Any], known: type, prefix: str) -> None:
@@ -133,6 +125,13 @@ def _spec_from_entry(entry: Any, spec_type: type, kind: str) -> Any:
         raise ConfigError(f"{kind}: {exc}") from exc
 
 
+def _config_path(config_path: Path, value: Any, name: str) -> Path:
+    """Path field ``name``, resolved relative to the config file."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name}: must be a path string, got {value!r}")
+    return config_path.parent / value
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read a JSON config. Paths resolve relative to the config file; a
     field the file leaves out keeps its dataclass default."""
@@ -152,18 +151,21 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
     obj = {
         **raw,
-        "corpus_manifest": path.parent / raw["corpus_manifest"],
-        "output_dir": path.parent / raw["output_dir"],
+        "corpus_manifest": _config_path(path, raw["corpus_manifest"], "corpus_manifest"),
+        "output_dir": _config_path(path, raw["output_dir"], "output_dir"),
     }
     for kind, spec_type in (("classifiers", ClassifierSpec), ("clusterers", ClustererSpec)):
         if kind in raw:
+            if not isinstance(raw[kind], list):
+                raise ConfigError(f"{kind}: must be a list of algo names or objects")
             obj[kind] = [_spec_from_entry(e, spec_type, kind) for e in raw[kind]]
     lex = raw.get("lexicon")
     if lex is not None:
         if not isinstance(lex, dict) or "path" not in lex:
             raise ConfigError("lexicon: must be an object with a 'path' field")
         _reject_unknown_keys(lex, LexiconConfig, "lexicon.")
-        obj["lexicon"] = LexiconConfig(**{**lex, "path": path.parent / lex["path"]})
+        lex_path = _config_path(path, lex["path"], "lexicon.path")
+        obj["lexicon"] = LexiconConfig(**{**lex, "path": lex_path})
     config = ExperimentConfig(**obj)
     config.validate()
     return config

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .encode import EncodedMatrix, pca_reduce
-from .errors import KExceedsSamplesError
+from .errors import KExceedsSamplesError, check_int, is_int
 
 FIXED_K_ALGOS = ("kmeans", "agglomerative", "gmm")
 UNFIXED_K_ALGOS = ("affinity", "meanshift")
@@ -35,14 +35,11 @@ DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
 }
 
 
-_COUNT_PARAMS = ("max_iter", "n_restarts", "stable_iters")
-
-
-def _check_param(name: str, value: Any) -> None:
-    """Reject numeric params the fitting loops cannot run with."""
-    if name in _COUNT_PARAMS:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_param(algo: str, name: str, value: Any) -> None:
+    """Reject params the fitting loops cannot run with. A param whose default
+    is an integer is a count: an integer >= 1."""
+    if is_int(DEFAULT_PARAMS[algo][name], 1):
+        check_int(f"{algo}.{name}", value, 1)
     elif name in ("quantile", "damping"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be a number, got {value!r}")
@@ -66,18 +63,18 @@ class ClustererSpec:
         if self.algo in FIXED_K_ALGOS:
             if self.k is None:
                 raise ValueError(f"{self.algo} requires k")
-            if self.k < 1:
-                raise ValueError("k must be >= 1")
+            check_int(f"{self.algo}.k", self.k, 1)
         elif self.k is not None:
             raise ValueError(f"{self.algo} does not take k")
+        check_int(f"{self.algo}.seed", self.seed, 0)
+        if self.pca_dims is not None:
+            check_int(f"{self.algo}.pca_dims", self.pca_dims, 1)
         unknown = set(self.params) - set(DEFAULT_PARAMS[self.algo])
         if unknown:
             raise ValueError(f"unknown {self.algo} params: {sorted(unknown)}")
         object.__setattr__(self, "params", {**DEFAULT_PARAMS[self.algo], **self.params})
         for name, value in self.params.items():
-            _check_param(name, value)
-        if self.pca_dims is not None and self.pca_dims < 1:
-            raise ValueError("pca_dims must be >= 1")
+            _check_param(self.algo, name, value)
 
 
 @dataclass

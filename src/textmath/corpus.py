@@ -27,6 +27,7 @@ from .errors import (
     ManifestError,
     MissingFileError,
     UnknownFormatError,
+    check_int,
 )
 
 logger = logging.getLogger(__name__)
@@ -380,8 +381,8 @@ def load_corpus(
     if not label_set or any(not isinstance(l, str) or not l for l in label_set):
         raise ManifestError("manifest label_set must be a non-empty list of non-empty strings")
     limit = manifest.get("per_class_limit")
-    if limit is not None and (not isinstance(limit, int) or limit < 1):
-        raise ManifestError("manifest per_class_limit must be a positive integer or null")
+    if limit is not None:
+        check_int("manifest per_class_limit", limit, 1, ManifestError)
     entries = _require(manifest, "entries", list)
 
     base = manifest_path.parent

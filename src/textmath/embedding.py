@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyVocabularyError
+from .errors import EmptyVocabularyError, check_int
 
 INFER_STEPS = 50
 INFER_ALPHA = 0.025
@@ -38,20 +38,12 @@ class EmbeddingParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError("size must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.min_count < 1:
-            raise ValueError("min_count must be >= 1")
+        for name in ("size", "window", "min_count", "iters_per_epoch", "epochs"):
+            check_int(f"EmbeddingParams.{name}", getattr(self, name), 1)
+        for name in ("negative", "seed"):
+            check_int(f"EmbeddingParams.{name}", getattr(self, name), 0)
         if self.initial_alpha <= 0:
             raise ValueError("initial_alpha must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.iters_per_epoch < 1:
-            raise ValueError("iters_per_epoch must be >= 1")
-        if self.negative < 0:
-            raise ValueError("negative must be >= 0")
 
 
 @dataclass

@@ -172,7 +172,6 @@ class TfidfModel:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
-    n_docs_fitted: int
 
 
 def fit_tfidf(bags: list[list[str]]) -> TfidfModel:
@@ -193,7 +192,7 @@ def fit_tfidf(bags: list[list[str]]) -> TfidfModel:
     idf = np.empty(len(vocabulary))
     for tok, col in vocabulary.items():
         idf[col] = math.log((1 + n) / (1 + df[tok])) + 1.0
-    return TfidfModel(vocabulary=vocabulary, idf=idf, n_docs_fitted=n)
+    return TfidfModel(vocabulary=vocabulary, idf=idf)
 
 
 def transform_tfidf(

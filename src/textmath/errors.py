@@ -1,4 +1,20 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one integer check
+that every spec, config and manifest field goes through."""
+import numbers
+
+
+def is_int(value: object, low: int) -> bool:
+    """An integer >= ``low``. Numpy integers count; bools (which Python also
+    counts as integers), floats (whole ones like 2.0 included) and strings do
+    not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def check_int(name: str, value: object, low: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming the field ``name`` unless ``value`` is an
+    integer >= ``low``."""
+    if not is_int(value, low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class TextMathError(Exception):

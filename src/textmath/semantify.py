@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import Document, clean_text
 from .encode import token_stream
-from .errors import MalformedLineError
+from .errors import MalformedLineError, check_int
 
 MODES = ("append", "replace")
 DEFAULT_TOP_N = 3
@@ -87,8 +87,7 @@ def enrich_stream(
     and all other tokens pass through."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
+    check_int("top_n", top_n, 1)
     out: list[str] = []
     appended: list[str] = []
     for tok in tokens:
@@ -113,8 +112,7 @@ def enrich(
     replace mode rewrites the namespaced math stream in place."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
+    check_int("top_n", top_n, 1)
     if mode == "append":
         tokens = list(doc.text_tokens)
         for formula in doc.formulas:

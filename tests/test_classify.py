@@ -257,6 +257,42 @@ class TestForestParams:
         assert predict(fit_classifier(spec, X, y), X) == y
 
 
+class TestSpecIntegers:
+    @pytest.mark.parametrize(
+        "algo,kwargs,match",
+        [
+            ("knn", {"params": {"k": 2.5}}, "knn.k"),
+            ("knn", {"params": {"k": True}}, "knn.k"),
+            ("knn", {"params": {"k": 0}}, "knn.k"),
+            ("mlp", {"params": {"hidden": 2.5}}, "mlp.hidden"),
+            ("mlp", {"params": {"batch_size": 0}}, "mlp.batch_size"),
+            ("mlp", {"params": {"max_epochs": 2.0}}, "mlp.max_epochs"),
+            ("mlp", {"params": {"patience": "10"}}, "mlp.patience"),
+            ("logreg", {"params": {"max_epochs": 0}}, "logreg.max_epochs"),
+            ("linear_svc", {"params": {"max_epochs": True}}, "linear_svc.max_epochs"),
+            ("knn", {"seed": "x"}, "knn.seed"),
+            ("dectree", {"seed": -1}, "dectree.seed"),
+            ("randforest", {"seed": 1.0}, "randforest.seed"),
+        ],
+    )
+    def test_bad_values_are_rejected(self, algo, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ClassifierSpec(algo, **kwargs)
+
+    @pytest.mark.parametrize(
+        "algo,kwargs",
+        [
+            ("knn", {"params": {"k": 1}, "seed": 0}),
+            ("knn", {"params": {"k": np.int64(3)}, "seed": np.int64(2)}),
+            ("mlp", {"params": {"hidden": 1, "batch_size": 1, "max_epochs": 1, "patience": 1}}),
+            ("logreg", {"params": {"max_epochs": 1}}),
+        ],
+    )
+    def test_boundary_values_fit(self, algo, kwargs, blobs2):
+        X, y = blobs2
+        assert len(predict(fit_classifier(ClassifierSpec(algo, **kwargs), X, y), X)) == len(y)
+
+
 # --- reference CART: one _best_split pass per candidate feature and a
 # dict per node, as the trees were before they became node arrays ---------
 

@@ -82,6 +82,34 @@ class TestConfigValidation:
             ({"classifiers": [{"algo": "randforest", "params": {"n_trees": 0}}]}, "n_trees"),
             ({"classifiers": [{"algo": "randforest", "params": {"max_features": "log2"}}]},
              "max_features"),
+            ({"classifiers": [{"algo": "knn", "params": {"k": 2.5}}]}, "knn.k"),
+            ({"classifiers": [{"algo": "knn", "params": {"k": True}}]}, "knn.k"),
+            ({"classifiers": [{"algo": "mlp", "params": {"hidden": 2.5}}]}, "mlp.hidden"),
+            ({"classifiers": [{"algo": "mlp", "seed": "x"}]}, "mlp.seed"),
+            ({"classifiers": [{"algo": "knn", "seed": -1}]}, "knn.seed"),
+            ({"classifiers": [{"algo": "mlp", "params": {"batch_size": 0}}]}, "mlp.batch_size"),
+            ({"classifiers": [{"algo": "mlp", "params": {"max_epochs": 2.0}}]}, "mlp.max_epochs"),
+            ({"classifiers": [{"algo": "mlp", "params": {"patience": 0}}]}, "mlp.patience"),
+            ({"classifiers": [{"algo": "logreg", "params": {"max_epochs": 0}}]},
+             "logreg.max_epochs"),
+            ({"classifiers": [{"algo": "linear_svc", "params": {"max_epochs": 1.5}}]},
+             "linear_svc.max_epochs"),
+            ({"clusterers": [{"algo": "kmeans", "k": 2.5}]}, "kmeans.k"),
+            ({"clusterers": [{"algo": "kmeans", "k": True}]}, "kmeans.k"),
+            ({"clusterers": [{"algo": "kmeans", "k": 3, "seed": "x"}]}, "kmeans.seed"),
+            ({"clusterers": [{"algo": "kmeans", "k": 3, "pca_dims": 2.5}]}, "kmeans.pca_dims"),
+            ({"embedding_params": {"size": 2.5}}, "embedding_params: .*size"),
+            ({"embedding_params": {"window": 1.5}}, "embedding_params: .*window"),
+            ({"embedding_params": {"epochs": 2.0}}, "embedding_params: .*epochs"),
+            ({"embedding_params": {"seed": "x"}}, "embedding_params: .*seed"),
+            ({"embedding_params": {"negative": -1}}, "embedding_params: .*negative"),
+            ({"classifiers": "knn"}, "classifiers: must be a list"),
+            ({"classifiers": 5}, "classifiers: must be a list"),
+            ({"clusterers": "kmeans"}, "clusterers: must be a list"),
+            ({"corpus_manifest": 5}, "corpus_manifest: must be a path"),
+            ({"output_dir": 5}, "output_dir: must be a path"),
+            ({"lexicon": {"path": 5}}, "lexicon.path: must be a path"),
+            ({"lexicon": {"path": "x.tsv", "top_n": 2.5}}, "lexicon.top_n"),
         ],
     )
     def test_bad_configs_name_the_field(self, tmp_path, overrides, match):
@@ -122,6 +150,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="lexicon." + next(iter(lexicon))):
             run_experiment(config)
         assert not config.output_dir.exists()
+
+    def test_bad_embedding_params_rejected_before_any_output(self, tmp_path):
+        config = ExperimentConfig(
+            corpus_manifest=MINI_MANIFEST,
+            output_dir=tmp_path / "out",
+            encodings=["text_tfidf"],
+            classifiers=[ClassifierSpec("knn")],
+            n_folds=2,
+            embedding_params={"size": 2.5},
+        )
+        with pytest.raises(ConfigError, match="embedding_params: .*size"):
+            run_experiment(config)
+        assert not config.output_dir.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": 0, "embedding_params": {"seed": 0, "negative": 0}},
+            {"classifiers": [{"algo": "knn", "params": {"k": 1}, "seed": 0}]},
+            {"clusterers": [{"algo": "kmeans", "k": 1, "seed": 0, "pca_dims": None}]},
+        ],
+    )
+    def test_integer_boundary_values_load(self, tmp_path, overrides):
+        load_experiment_config(write_config(tmp_path, **overrides))
 
     def test_paths_resolve_relative_to_config(self, tmp_path):
         nested = tmp_path / "nested"
@@ -573,6 +625,23 @@ class TestExitCodes:
         config = write_config(tmp_path, encodings=[])
         assert main(["run", str(config)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"classifiers": [{"algo": "knn", "params": {"k": 2.5}}]},
+            {"classifiers": [{"algo": "mlp", "seed": "x"}]},
+            {"clusterers": [{"algo": "kmeans", "k": 3, "pca_dims": 2.5}]},
+            {"embedding_params": {"epochs": 2.0}},
+            {"classifiers": "knn"},
+            {"output_dir": 5},
+        ],
+    )
+    def test_type_faults_are_config_errors_before_any_output(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, **overrides)
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
 
     def test_domain_error_is_2(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "ghost.json"),

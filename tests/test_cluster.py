@@ -58,6 +58,9 @@ class TestSpecValidation:
             ("meanshift", None, {"quantile": 0.0}),
             ("meanshift", None, {"quantile": 1.5}),
             ("meanshift", None, {"quantile": "0.3"}),
+            ("kmeans", 2, {"n_restarts": 2.0}),
+            ("gmm", 2, {"max_iter": "5"}),
+            ("meanshift", None, {"max_iter": True}),
         ],
     )
     def test_bad_numeric_params_rejected(self, algo, k, params):
@@ -68,6 +71,34 @@ class TestSpecValidation:
         ClustererSpec("kmeans", k=2, params={"max_iter": 1, "n_restarts": 1})
         ClustererSpec("affinity", params={"damping": 0.0, "stable_iters": 1})
         ClustererSpec("meanshift", params={"quantile": 1})
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"k": 2.5}, "kmeans.k"),
+            ({"k": True}, "kmeans.k"),
+            ({"k": 0}, "kmeans.k"),
+            ({"k": 2, "seed": "x"}, "kmeans.seed"),
+            ({"k": 2, "seed": -1}, "kmeans.seed"),
+            ({"k": 2, "pca_dims": 2.5}, "kmeans.pca_dims"),
+            ({"k": 2, "pca_dims": 0}, "kmeans.pca_dims"),
+        ],
+    )
+    def test_bad_integer_fields_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ClustererSpec("kmeans", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k": 1, "seed": 0, "pca_dims": None},
+            {"k": np.int64(2), "seed": np.int64(0), "pca_dims": np.int64(1)},
+        ],
+    )
+    def test_integer_boundaries_accepted(self, kwargs, far_blobs):
+        X, _ = far_blobs
+        assignment = fit_predict_clusterer(ClustererSpec("kmeans", **kwargs), X)
+        assert assignment.n_clusters == kwargs["k"]
 
     def test_k_exceeds_samples(self, far_blobs):
         X, _ = far_blobs

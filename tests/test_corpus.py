@@ -11,6 +11,7 @@ from textmath import (
     EmptyClassError,
     MalformedMarkupError,
     MalformedRecordError,
+    ManifestError,
     MissingFileError,
     UnknownFormatError,
     clean_text,
@@ -341,6 +342,14 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(mp)
         assert corpus.ids == ["d0", "d1", "e0", "e1"]
+
+    @pytest.mark.parametrize("limit", [True, 2.5, 0, "2"])
+    def test_bad_per_class_limit_rejected(self, tmp_path, limit):
+        mp = write_corpus_files(
+            tmp_path, [(f"d{i}", "a", "<p>words here</p>") for i in range(3)], limit=limit
+        )
+        with pytest.raises(ManifestError, match="per_class_limit"):
+            load_corpus(mp)
 
     def test_missing_file_named(self, tmp_path):
         manifest = {

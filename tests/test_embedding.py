@@ -52,11 +52,24 @@ class TestParams:
             {"min_count": 0},
             {"initial_alpha": 0.0},
             {"epochs": 0},
+            {"size": 2.5},
+            {"window": 1.5},
+            {"epochs": 2.0},
+            {"seed": "x"},
+            {"seed": -1},
+            {"negative": -1},
+            {"min_count": True},
+            {"iters_per_epoch": "1"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EmbeddingParams(**kwargs)
+
+    def test_integer_boundaries_accepted(self):
+        params = EmbeddingParams(size=1, window=1, min_count=1, epochs=1, negative=0, seed=0)
+        assert (params.negative, params.seed) == (0, 0)
+        assert EmbeddingParams(size=np.int64(8)).size == 8
 
 
 class TestTraining:

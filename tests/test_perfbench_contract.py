@@ -91,6 +91,12 @@ def test_cluster_full_run_passes_its_checks():
     run_benchmark("cluster_full")
 
 
+def test_embed_cv_run_passes_its_checks():
+    """embed_cv (about 11 s): the only workload that sets embedding_params,
+    so its config goes through the embedding checks at load."""
+    run_benchmark("embed_cv")
+
+
 def test_traced_run_reports_every_declared_metric():
     """grid_tfidf traced (about 30 s): no wrap target is missing, and the
     result line carries exactly the per-layer metrics BENCHMARK.json

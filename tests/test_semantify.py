@@ -135,6 +135,13 @@ class TestEnrich:
         with pytest.raises(ValueError):
             enrich(physics_doc, physics_lexicon, top_n=0)
 
+    @pytest.mark.parametrize("top_n", [2.5, True, 0, "1"])
+    def test_non_integer_top_n_rejected(self, physics_doc, physics_lexicon, top_n):
+        with pytest.raises(ValueError, match="top_n"):
+            enrich(physics_doc, physics_lexicon, top_n=top_n)
+        with pytest.raises(ValueError, match="top_n"):
+            enrich_stream(["id:E"], physics_lexicon, top_n=top_n)
+
 
 class TestEnrichStream:
     def test_replace_inline(self, physics_lexicon):
