@@ -14,22 +14,17 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from . import __version__
 from .classify import ALGOS as CLASSIFIER_ALGOS
 from .classify import ClassifierSpec
 from .cluster import ALGOS as CLUSTERER_ALGOS
 from .cluster import ClusterAssignment, ClustererSpec, dump_assignment, fit_predict_clusterer
-from .corpus import (
-    GRANULARITIES,
-    Corpus,
-    dump_corpus_jsonl,
-    load_corpus,
-    load_corpus_jsonl,
-)
+from .corpus import Corpus, dump_corpus_jsonl, load_corpus, load_corpus_jsonl
 from .embedding import EmbeddingParams
 from .encode import EncodingSpec, fit_encoder, parse_encoding_name
 from .errors import ConfigError, TextMathError, ZeroVarianceError, check_int
@@ -67,7 +62,6 @@ class ExperimentConfig:
     encodings: list[str]
     classifiers: list[ClassifierSpec] = field(default_factory=list)
     clusterers: list[ClustererSpec] = field(default_factory=list)
-    granularity: str = "document"
     n_folds: int = 10
     seed: int = 0
     embedding_params: dict[str, Any] = field(default_factory=dict)
@@ -76,8 +70,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.corpus_manifest.is_file():
             raise ConfigError(f"corpus_manifest: file not found: {self.corpus_manifest}")
-        if self.granularity not in GRANULARITIES:
-            raise ConfigError(f"granularity: must be one of {GRANULARITIES}")
         if not isinstance(self.encodings, list) or not all(
             isinstance(name, str) for name in self.encodings
         ):
@@ -85,10 +77,8 @@ class ExperimentConfig:
         if not self.encodings:
             raise ConfigError("encodings: at least one encoding is required")
         for name in self.encodings:
-            try:
+            with _config_errors("encodings"):
                 parse_encoding_name(name)
-            except ValueError as exc:
-                raise ConfigError(f"encodings: {exc}") from exc
         if not self.classifiers and not self.clusterers:
             raise ConfigError("classifiers/clusterers: at least one algorithm is required")
         check_int("n_folds", self.n_folds, 2, ConfigError)
@@ -102,6 +92,15 @@ class ExperimentConfig:
             check_int("lexicon.top_n", self.lexicon.top_n, 1, ConfigError)
             if not self.lexicon.path.is_file():
                 raise ConfigError(f"lexicon.path: file not found: {self.lexicon.path}")
+
+
+@contextmanager
+def _config_errors(name: str) -> Iterator[None]:
+    """Re-raise a ValueError or TypeError as a ConfigError that names ``name``."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _reject_unknown_keys(obj: dict[str, Any], known: type, prefix: str) -> None:
@@ -119,10 +118,8 @@ def _spec_from_entry(entry: Any, spec_type: type, kind: str) -> Any:
         entry = {"algo": entry}
     elif isinstance(entry, dict):
         _reject_unknown_keys(entry, spec_type, f"{kind}.")
-    try:
+    with _config_errors(kind):
         return spec_type(**entry)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{kind}: {exc}") from exc
 
 
 def _config_path(config_path: Path, value: Any, name: str) -> Path:
@@ -221,10 +218,8 @@ def _column_names(specs: list[Any]) -> list[str]:
 def _embedding_params(config: ExperimentConfig) -> EmbeddingParams:
     overrides = dict(config.embedding_params)
     overrides.setdefault("seed", config.seed)
-    try:
+    with _config_errors("embedding_params"):
         return EmbeddingParams(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"embedding_params: {exc}") from exc
 
 
 def run_experiment(config: ExperimentConfig) -> EvaluationReport:
@@ -235,7 +230,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     """
     config.validate()
     started = time.time()
-    corpus = load_corpus(config.corpus_manifest, config.granularity)
+    corpus = load_corpus(config.corpus_manifest)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     emb_params = _embedding_params(config)
@@ -261,7 +256,6 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     record = {
         "version": __version__,
         "seed": config.seed,
-        "granularity": config.granularity,
         "n_folds": config.n_folds,
         "corpus_manifest": str(config.corpus_manifest),
         "n_documents": len(corpus.documents),
@@ -390,12 +384,15 @@ def _write_correlations(config: ExperimentConfig, matrices: dict[str, Any], log:
 # --- subcommands ----------------------------------------------------------------
 
 
-def _load_jsonl_corpus(args: argparse.Namespace) -> Corpus:
-    return load_corpus_jsonl(args.corpus, granularity=args.granularity)
+def _stage_encoding(args: argparse.Namespace, dest: str = "encoding") -> EncodingSpec:
+    """The encoding that a stage subcommand's ``--<dest>`` names, seeded by ``--seed``."""
+    check_int("--seed", args.seed, 0, ConfigError)
+    with _config_errors("--" + dest.replace("_", "-")):
+        return parse_encoding_name(getattr(args, dest), EmbeddingParams(seed=args.seed))
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.manifest, granularity=args.granularity)
+    corpus = load_corpus(args.manifest)
     dump_corpus_jsonl(corpus, args.output)
     print(f"{len(corpus.documents)} documents -> {args.output}")
     if corpus.skipped_ids:
@@ -404,8 +401,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    corpus = _load_jsonl_corpus(args)
-    spec = parse_encoding_name(args.encoding, EmbeddingParams(seed=args.seed))
+    spec = _stage_encoding(args)
+    corpus = load_corpus_jsonl(args.corpus)
     _, matrix = fit_encoder(spec, corpus.documents, stopwords=corpus.stopwords)
     matrix.to_csv(args.output)
     print(f"{matrix.n_samples} x {matrix.n_features} -> {args.output}")
@@ -413,9 +410,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    corpus = _load_jsonl_corpus(args)
+    encoding = _stage_encoding(args)
     spec = ClassifierSpec(algo=args.algo, seed=args.seed)
-    encoding = parse_encoding_name(args.encoding, EmbeddingParams(seed=args.seed))
+    corpus = load_corpus_jsonl(args.corpus)
     plan = make_folds(len(corpus.documents), args.folds, args.seed)
     result = cross_validate(spec, encoding, corpus, plan)
     print(f"mean accuracy: {result.mean_accuracy:.4f}")
@@ -428,9 +425,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    corpus = _load_jsonl_corpus(args)
-    spec = ClustererSpec(algo=args.algo, k=args.k, seed=args.seed, pca_dims=args.pca_dims)
-    encoding = parse_encoding_name(args.encoding, EmbeddingParams(seed=args.seed))
+    encoding = _stage_encoding(args)
+    with _config_errors("cluster"):
+        spec = ClustererSpec(algo=args.algo, k=args.k, seed=args.seed, pca_dims=args.pca_dims)
+    corpus = load_corpus_jsonl(args.corpus)
     _, matrix = fit_encoder(encoding, corpus.documents, stopwords=corpus.stopwords)
     assignment = fit_predict_clusterer(spec, matrix)
     print(f"clusters: {assignment.n_clusters}")
@@ -444,18 +442,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    corpus = _load_jsonl_corpus(args)
-    mats = []
-    for name in (args.encoding_a, args.encoding_b):
-        spec = parse_encoding_name(name, EmbeddingParams(seed=args.seed))
-        mats.append(fit_encoder(spec, corpus.documents, stopwords=corpus.stopwords)[1])
+    specs = [_stage_encoding(args, dest) for dest in ("encoding_a", "encoding_b")]
+    corpus = load_corpus_jsonl(args.corpus)
+    mats = [fit_encoder(spec, corpus.documents, stopwords=corpus.stopwords)[1] for spec in specs]
     r = text_math_correlation(mats[0], mats[1])
     print(f"pearson r({args.encoding_a}, {args.encoding_b}) = {r:.6f}")
     return 0
 
 
 def _cmd_semantify(args: argparse.Namespace) -> int:
-    corpus = _load_jsonl_corpus(args)
+    check_int("--top-n", args.top_n, 1, ConfigError)
+    corpus = load_corpus_jsonl(args.corpus)
     lex = load_lexicon(args.lexicon)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         for doc in corpus.documents:
@@ -509,13 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse a manifest corpus to canonical JSONL")
     p.add_argument("manifest")
-    p.add_argument("--granularity", default="document", choices=GRANULARITIES)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=_cmd_ingest)
 
     p = sub.add_parser("encode", help="encode a JSONL corpus to a feature matrix CSV")
     p.add_argument("corpus")
-    p.add_argument("--granularity", default="document", choices=GRANULARITIES)
     p.add_argument("--encoding", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -523,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="cross-validate one encoding x classifier cell")
     p.add_argument("corpus")
-    p.add_argument("--granularity", default="document", choices=GRANULARITIES)
     p.add_argument("--encoding", required=True)
     p.add_argument("--algo", required=True, choices=CLASSIFIER_ALGOS)
     p.add_argument("--folds", type=int, default=10)
@@ -533,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster one encoding and score purity")
     p.add_argument("corpus")
-    p.add_argument("--granularity", default="document", choices=GRANULARITIES)
     p.add_argument("--encoding", required=True)
     p.add_argument("--algo", required=True, choices=CLUSTERER_ALGOS)
     p.add_argument("--k", type=int)
@@ -544,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="pair-similarity correlation of two encodings")
     p.add_argument("corpus")
-    p.add_argument("--granularity", default="document", choices=GRANULARITIES)
     p.add_argument("--encoding-a", required=True)
     p.add_argument("--encoding-b", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -552,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semantify", help="enrich identifiers with lexicon names")
     p.add_argument("corpus")
-    p.add_argument("--granularity", default="document", choices=GRANULARITIES)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
     p.add_argument("--mode", default="append", choices=MODES)

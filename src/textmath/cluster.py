@@ -521,5 +521,12 @@ def dump_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
         },
     }
     path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, ensure_ascii=False, indent=2, default=float) + "\n", "utf-8"
+        json.dumps(sidecar, ensure_ascii=False, indent=2, default=_json_scalar) + "\n", "utf-8"
     )
+
+
+def _json_scalar(value: object) -> object:
+    """A numpy scalar as the Python scalar of its kind (``np.int64`` -> int)."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -38,8 +38,6 @@ PLACEHOLDER = "￼"
 
 FORMAT_CONTAINERS = {"html_math": "math", "tei_formula": "formula"}
 
-GRANULARITIES = ("document", "section", "abstract")
-
 MIN_TOKEN_LEN = 3
 
 _TOKEN_RE = re.compile(r"\w+")
@@ -111,7 +109,6 @@ class Corpus:
 
     documents: list[Document]
     label_set: list[str]
-    granularity: str = "document"
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
     skipped_ids: list[str] = field(default_factory=list)
 
@@ -193,13 +190,7 @@ def _parse_markup(raw_markup: str, id: str) -> ET.Element:
         raise MalformedMarkupError(f"sample {id!r}: {exc}") from exc
 
 
-def parse_document(
-    raw_markup: str,
-    format: str,
-    id: str,
-    label: str,
-    stopwords: frozenset[str] | set[str] | None = None,
-) -> Document:
+def parse_document(raw_markup: str, format: str, id: str, label: str) -> Document:
     """Parse one markup document into a :class:`Document`.
 
     Raises :class:`MalformedMarkupError` for unbalanced/invalid markup and
@@ -208,8 +199,6 @@ def parse_document(
     container = FORMAT_CONTAINERS.get(format)
     if container is None:
         raise UnknownFormatError(f"unknown document format {format!r}")
-    if stopwords is None:
-        stopwords = default_stopwords()
 
     root = _parse_markup(raw_markup, id)
     parts: list[str] = []
@@ -244,7 +233,7 @@ def parse_document(
 
     visit(root)
     raw_text = "".join(parts)
-    text_tokens = clean_text(raw_text.replace(PLACEHOLDER, ""), stopwords)
+    text_tokens = clean_text(raw_text.replace(PLACEHOLDER, ""))
     return Document(id=id, label=label, raw_text=raw_text, text_tokens=text_tokens, formulas=formulas)
 
 
@@ -352,11 +341,7 @@ def _require(manifest: dict, key: str, kind: type) -> object:
     return value
 
 
-def load_corpus(
-    manifest_path: str | Path,
-    granularity: str = "document",
-    stopwords: frozenset[str] | set[str] | None = None,
-) -> Corpus:
+def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus from a JSON manifest.
 
     Manifest schema: ``{"format", "label_set", "per_class_limit", "entries"}``
@@ -368,10 +353,6 @@ def load_corpus(
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise MissingFileError(f"manifest not found: {manifest_path}")
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if stopwords is None:
-        stopwords = default_stopwords()
 
     manifest = json.loads(manifest_path.read_text("utf-8"))
     fmt = _require(manifest, "format", str)
@@ -407,7 +388,7 @@ def load_corpus(
         if not path.is_file():
             raise MissingFileError(f"corpus file not found: {path}")
         try:
-            doc = parse_document(path.read_text("utf-8"), fmt, entry["id"], label, stopwords)
+            doc = parse_document(path.read_text("utf-8"), fmt, entry["id"], label)
         except MalformedMarkupError as exc:
             logger.warning("skipping %s: %s", entry["id"], exc)
             skipped.append(entry["id"])
@@ -418,13 +399,7 @@ def load_corpus(
     empty = [label for label, n in per_class.items() if n == 0]
     if empty:
         raise EmptyClassError(f"no parsable samples for classes: {empty}")
-    return Corpus(
-        documents=documents,
-        label_set=label_set,
-        granularity=granularity,
-        stopwords=frozenset(stopwords),
-        skipped_ids=skipped,
-    )
+    return Corpus(documents=documents, label_set=label_set, skipped_ids=skipped)
 
 
 # --- canonical JSONL dump -----------------------------------------------
@@ -453,12 +428,7 @@ def dump_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def load_corpus_jsonl(
-    path: str | Path,
-    label_set: list[str] | None = None,
-    granularity: str = "document",
-    stopwords: frozenset[str] | set[str] | None = None,
-) -> Corpus:
+def load_corpus_jsonl(path: str | Path, label_set: list[str] | None = None) -> Corpus:
     """Reload a canonical JSONL dump.
 
     When ``label_set`` is not given it is derived as the sorted set of
@@ -502,9 +472,4 @@ def load_corpus_jsonl(
         documents.append(doc)
     if label_set is None:
         label_set = sorted({d.label for d in documents})
-    return Corpus(
-        documents=documents,
-        label_set=label_set,
-        granularity=granularity,
-        stopwords=frozenset(stopwords) if stopwords is not None else default_stopwords(),
-    )
+    return Corpus(documents=documents, label_set=label_set)

@@ -167,10 +167,7 @@ def train_embedding(streams: list[list[str]], params: EmbeddingParams) -> Embedd
 
 
 def infer_doc_vector(
-    model: EmbeddingModel,
-    stream: list[str],
-    steps: int = INFER_STEPS,
-    alpha: float = INFER_ALPHA,
+    model: EmbeddingModel, stream: list[str], steps: int = INFER_STEPS
 ) -> np.ndarray:
     """Encode an unseen document with word and output weights frozen."""
     params = model.params
@@ -189,7 +186,7 @@ def infer_doc_vector(
             end = pos + window + 1 - reduced
             context = np.concatenate([idx[start:pos], idx[pos + 1 : end]])
             doc_vec += _train_pair(
-                model, rng, labels, doc_vec, context, int(idx[pos]), alpha, learn_words=False
+                model, rng, labels, doc_vec, context, int(idx[pos]), INFER_ALPHA, learn_words=False
             )
     return doc_vec
 

@@ -78,30 +78,20 @@ def _name_tokens(lex: Lexicon, symbol: str, top_n: int) -> list[str]:
     return out
 
 
-def enrich_stream(
-    tokens: list[str], lex: Lexicon, top_n: int = DEFAULT_TOP_N, mode: str = "replace"
-) -> list[str]:
+def enrich_stream(tokens: list[str], lex: Lexicon, top_n: int = DEFAULT_TOP_N) -> list[str]:
     """Rewrite a token stream: each ``id:<symbol>`` token with a lexicon
-    entry becomes its cleaned candidate-name tokens (replace) or keeps its
-    place with the names appended at the end (append). Unknown identifiers
-    and all other tokens pass through."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    entry becomes its cleaned candidate-name tokens. Unknown identifiers and
+    all other tokens pass through."""
     check_int("top_n", top_n, 1)
     out: list[str] = []
-    appended: list[str] = []
     for tok in tokens:
         if tok.startswith("id:"):
             names = _name_tokens(lex, tok[3:], top_n)
             if names:
-                if mode == "replace":
-                    out.extend(names)
-                else:
-                    out.append(tok)
-                    appended.extend(names)
+                out.extend(names)
                 continue
         out.append(tok)
-    return out + appended
+    return out
 
 
 def enrich(
@@ -119,5 +109,5 @@ def enrich(
             for symbol in formula.identifiers:
                 tokens.extend(_name_tokens(lex, symbol, top_n))
     else:
-        tokens = enrich_stream(token_stream(doc, "math_opid"), lex, top_n, mode="replace")
+        tokens = enrich_stream(token_stream(doc, "math_opid"), lex, top_n)
     return tokens

@@ -19,6 +19,7 @@ from textmath.cli import (
 )
 from textmath.errors import ConfigError
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MINI_MANIFEST = Path(textmath.__file__).parent / "data" / "mini_corpus" / "manifest.json"
 
 OMIT = object()
@@ -110,6 +111,7 @@ class TestConfigValidation:
             ({"output_dir": 5}, "output_dir: must be a path"),
             ({"lexicon": {"path": 5}}, "lexicon.path: must be a path"),
             ({"lexicon": {"path": "x.tsv", "top_n": 2.5}}, "lexicon.top_n"),
+            ({"granularity": "document"}, "granularity: unknown config key"),
         ],
     )
     def test_bad_configs_name_the_field(self, tmp_path, overrides, match):
@@ -174,6 +176,20 @@ class TestConfigValidation:
     )
     def test_integer_boundary_values_load(self, tmp_path, overrides):
         load_experiment_config(write_config(tmp_path, **overrides))
+
+    def test_readme_example_config_loads(self, tmp_path):
+        from textmath.synth import class_lexicon_tsv, generate_synthetic_corpus, write_corpus_markup
+
+        section = README.read_text("utf-8").split("### Experiment config", 1)[1]
+        raw = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        corpus = generate_synthetic_corpus(3, 2, 6, 3, seed=0)
+        manifest = write_corpus_markup(corpus, (tmp_path / raw["corpus_manifest"]).parent)
+        assert manifest == tmp_path / raw["corpus_manifest"]
+        class_lexicon_tsv(corpus, tmp_path / raw["lexicon"]["path"])
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(raw), "utf-8")
+        config = load_experiment_config(path)
+        assert config.encodings == raw["encodings"]
 
     def test_paths_resolve_relative_to_config(self, tmp_path):
         nested = tmp_path / "nested"
@@ -642,6 +658,37 @@ class TestExitCodes:
         assert main(["run", str(config)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["cluster", "{jsonl}", "--encoding", "text_tfidf", "--algo", "kmeans", "--k", "0"],
+             "kmeans.k"),
+            (["cluster", "{jsonl}", "--encoding", "text_tfidf", "--algo", "kmeans"], "requires k"),
+            (["cluster", "{jsonl}", "--encoding", "text_tfidf", "--algo", "gmm", "--k", "2",
+              "--pca-dims", "0"], "gmm.pca_dims"),
+            (["cluster", "{jsonl}", "--encoding", "text_tfidf", "--algo", "kmeans", "--k", "2",
+              "--seed", "-1"], "--seed"),
+            (["encode", "{jsonl}", "--encoding", "text_tfidf", "--output", "{out}", "--seed", "-1"],
+             "--seed"),
+            (["encode", "{jsonl}", "--encoding", "docText_tfidf", "--output", "{out}"],
+             "--encoding"),
+            (["classify", "{jsonl}", "--encoding", "text_tfidf", "--algo", "knn", "--seed", "-1"],
+             "--seed"),
+            (["correlate", "{jsonl}", "--encoding-a", "text_tfidf", "--encoding-b", "math_id_tfidf",
+              "--seed", "-1"], "--seed"),
+            (["correlate", "{jsonl}", "--encoding-a", "text_tfidf", "--encoding-b", "math"],
+             "--encoding-b"),
+            (["semantify", "{jsonl}", "--lexicon", "{lexicon}", "--output", "{out}", "--top-n", "0"],
+             "--top-n"),
+        ],
+    )
+    def test_bad_stage_options_are_config_errors(self, pipeline, tmp_path, capsys, argv, field):
+        paths = {"jsonl": pipeline["jsonl"], "lexicon": pipeline["lexicon"], "out": tmp_path / "o"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not (tmp_path / "o").exists()
 
     def test_domain_error_is_2(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "ghost.json"),

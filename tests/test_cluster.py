@@ -1,4 +1,5 @@
 """Five clusterers: fixtures, per-algo contracts, and shared invariants."""
+import json
 import math
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from textmath import (
     ClustererSpec,
     KExceedsSamplesError,
+    dump_assignment,
     estimate_bandwidth,
     fit_predict_clusterer,
     purity,
@@ -307,6 +309,19 @@ class TestSharedInvariants:
         X, y = make_blobs([[0.0] * 40, [15.0] * 40], n_per=20, scale=1.0, seed=10)
         a = fit_predict_clusterer(ClustererSpec("gmm", k=2, seed=0, pca_dims=5), make_matrix(X))
         assert purity(a, y) == 1.0
+
+    def test_sidecar_keeps_numpy_scalar_kinds(self, far_blobs, tmp_path):
+        X, _ = far_blobs
+        a = fit_predict_clusterer(ClustererSpec("kmeans", k=np.int64(2), seed=0), X)
+        a.diagnostics["flag"] = np.bool_(True)
+        path = tmp_path / "assignments.csv"
+        dump_assignment(a, path)
+        sidecar = json.loads(path.with_suffix(".csv.json").read_text("utf-8"))
+        assert sidecar["spec"]["k"] == 2 and isinstance(sidecar["spec"]["k"], int)
+        assert sidecar["diagnostics"]["flag"] is True
+        a.diagnostics["flag"] = {1, 2}
+        with pytest.raises(TypeError, match="set"):
+            dump_assignment(a, path)
 
 
 # --- reference implementations ---------------------------------------------------

@@ -148,10 +148,6 @@ class TestEnrichStream:
         got = enrich_stream(["id:E", "op:=", "id:m"], physics_lexicon, top_n=1)
         assert got == ["energy", "op:=", "mass"]
 
-    def test_append_mode_keeps_token_then_appends(self, physics_lexicon):
-        got = enrich_stream(["id:E", "op:="], physics_lexicon, top_n=1, mode="append")
-        assert got == ["id:E", "op:=", "energy"]
-
     def test_unknown_identifiers_pass_through(self, physics_lexicon):
         got = enrich_stream(["id:zeta", "plain"], physics_lexicon, top_n=2)
         assert got == ["id:zeta", "plain"]
