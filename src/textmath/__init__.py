@@ -85,7 +85,17 @@ from .evaluate import (
 )
 from .semantify import Lexicon, enrich, enrich_stream, load_lexicon
 from .synth import generate_synthetic_corpus, render_markup, write_corpus_markup
-from .cli import ExperimentConfig, load_experiment_config, run_experiment
+
+
+def __getattr__(name: str):
+    """The names defined in ``textmath.cli`` are imported on first use, so
+    ``python -m textmath.cli`` runs a module the package has not imported."""
+    if name in ("ExperimentConfig", "load_experiment_config", "run_experiment"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

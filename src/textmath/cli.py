@@ -30,7 +30,6 @@ from .encode import EncodingSpec, fit_encoder, parse_encoding_name
 from .errors import ConfigError, TextMathError, ZeroVarianceError, check_int
 from .evaluate import (
     EvaluationReport,
-    bag_folds,
     build_report,
     cross_validate,
     cross_validate_bags,  # noqa: F401 -- kept importable here; perfbench/spans.py wraps it
@@ -39,6 +38,7 @@ from .evaluate import (
     normalize_runtimes,
     purity,
     score_folds,
+    stream_folds,
     text_math_correlation,
     weighted_purity,
 )
@@ -293,7 +293,8 @@ def _run_classification_grid(
     if config.lexicon is not None:
         lex = load_lexicon(config.lexicon.path)
         bags = [enrich(d, lex, config.lexicon.top_n, config.lexicon.mode) for d in corpus.documents]
-        rows.append((SEMANTIFIED_ROW[config.lexicon.mode], bag_folds(bags, plan)))
+        folds = stream_folds(None, bags, corpus.ids, plan)
+        rows.append((SEMANTIFIED_ROW[config.lexicon.mode], folds))
 
     for row_name, folds in rows:
         outcomes = score_folds(config.classifiers, folds, corpus.labels, corpus.label_set)
@@ -411,6 +412,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     encoding = _stage_encoding(args)
+    check_int("--folds", args.folds, 2, ConfigError)
     spec = ClassifierSpec(algo=args.algo, seed=args.seed)
     corpus = load_corpus_jsonl(args.corpus)
     plan = make_folds(len(corpus.documents), args.folds, args.seed)
@@ -480,14 +482,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    corpus = generate_synthetic_corpus(
-        n_classes=args.classes,
-        docs_per_class=args.docs_per_class,
-        vocab_per_class=args.vocab_per_class,
-        shared_identifiers=args.shared_identifiers,
-        seed=args.seed,
-        operator_skew=args.operator_skew,
-    )
+    check_int("--seed", args.seed, 0, ConfigError)
+    for count in ("classes", "docs_per_class", "vocab_per_class", "shared_identifiers"):
+        check_int("--" + count.replace("_", "-"), getattr(args, count), 1, ConfigError)
+    with _config_errors("--operator-skew"):  # the one check left to the generator
+        corpus = generate_synthetic_corpus(
+            n_classes=args.classes,
+            docs_per_class=args.docs_per_class,
+            vocab_per_class=args.vocab_per_class,
+            shared_identifiers=args.shared_identifiers,
+            seed=args.seed,
+            operator_skew=args.operator_skew,
+        )
     manifest = write_corpus_markup(corpus, args.output_dir, args.format)
     print(f"manifest: {manifest}")
     if args.with_lexicon:

@@ -268,25 +268,37 @@ def pca_reduce(m: EncodedMatrix, target_dims: int) -> EncodedMatrix:
 
 @dataclass
 class FittedEncoder:
-    """A fitted tf-idf or embedding encoder that can project new documents."""
+    """A fitted tf-idf or embedding encoder that can project new token streams."""
 
-    spec: EncodingSpec
-    stopwords: frozenset[str] | None
+    spec: EncodingSpec | None
     tfidf: TfidfModel | None = None
     embedding: EmbeddingModel | None = None
 
-    def streams(self, docs: list[Document]) -> list[list[str]]:
-        return [token_stream(d, self.spec.content, stopwords=self.stopwords) for d in docs]
-
-    def transform(self, docs: list[Document]) -> EncodedMatrix:
-        streams = self.streams(docs)
-        ids = [d.id for d in docs]
-        if self.spec.method == "tfidf":
-            return transform_tfidf(self.tfidf, streams, sample_ids=ids, spec=self.spec)
-        rows = np.stack([infer_doc_vector(self.embedding, s) for s in streams]) if docs else (
+    def transform(self, streams: list[list[str]], sample_ids: list[str]) -> EncodedMatrix:
+        if self.embedding is None:
+            return transform_tfidf(self.tfidf, streams, sample_ids=sample_ids, spec=self.spec)
+        rows = np.stack([infer_doc_vector(self.embedding, s) for s in streams]) if streams else (
             np.zeros((0, self.embedding.params.size))
         )
-        return EncodedMatrix(spec=self.spec, sample_ids=ids, features=rows)
+        return EncodedMatrix(spec=self.spec, sample_ids=list(sample_ids), features=rows)
+
+
+def fit_streams(
+    spec: EncodingSpec | None, streams: list[list[str]], sample_ids: list[str]
+) -> tuple[FittedEncoder, EncodedMatrix]:
+    """Fit an encoder on token streams and return it with the training matrix.
+
+    ``spec=None`` fits plain tf-idf over pre-built bags (e.g. enriched
+    streams). For embeddings the training matrix holds the trained document
+    vectors; held-out streams are later inferred with frozen word vectors.
+    """
+    encoder = FittedEncoder(spec=spec)
+    if spec is None or spec.method == "tfidf":
+        encoder.tfidf = fit_tfidf(streams)
+        return encoder, transform_tfidf(encoder.tfidf, streams, sample_ids=sample_ids, spec=spec)
+    encoder.embedding = train_embedding(streams, spec.embedding_params)
+    vectors = encoder.embedding.doc_vectors.copy()
+    return encoder, EncodedMatrix(spec=spec, sample_ids=list(sample_ids), features=vectors)
 
 
 def fit_encoder(
@@ -294,18 +306,6 @@ def fit_encoder(
     docs: list[Document],
     stopwords: frozenset[str] | set[str] | None = None,
 ) -> tuple[FittedEncoder, EncodedMatrix]:
-    """Fit an encoder on ``docs`` and return it with the training matrix.
-
-    For embeddings the training matrix holds the trained document vectors;
-    held-out documents are later inferred with frozen word vectors.
-    """
-    sw = frozenset(stopwords) if stopwords is not None else None
-    encoder = FittedEncoder(spec=spec, stopwords=sw)
-    streams = encoder.streams(docs)
-    ids = [d.id for d in docs]
-    if spec.method == "tfidf":
-        encoder.tfidf = fit_tfidf(streams)
-        return encoder, transform_tfidf(encoder.tfidf, streams, sample_ids=ids, spec=spec)
-    encoder.embedding = train_embedding(streams, spec.embedding_params)
-    matrix = EncodedMatrix(spec=spec, sample_ids=ids, features=encoder.embedding.doc_vectors.copy())
-    return encoder, matrix
+    """Fit an encoder on the token streams of ``docs``; see ``fit_streams``."""
+    streams = [token_stream(d, spec.content, stopwords=stopwords) for d in docs]
+    return fit_streams(spec, streams, [d.id for d in docs])

@@ -2,12 +2,14 @@
 matrices, text-math similarity correlation, relative runtimes, and report
 tables.
 
-Encoders are refitted once per training fold before the held-out fold is
-transformed, so no vocabulary or embedding information leaks across the
-split; every classifier in a grid row is fitted and scored on that fold's
-shared matrices. Purity comes in two flavors: the macro mean over clusters
-(headline) and the sample-weighted variant, which differ exactly when
-cluster sizes are uneven.
+Every classification row, an encoding or the semantified bags, goes
+through one fold builder, ``stream_folds``. The row's token streams are
+built once; the encoder is refitted on each training fold's streams before
+the held-out streams are transformed, so no vocabulary or embedding
+information leaks across the split, and every classifier in the row is
+fitted and scored on that fold's shared matrices. Purity comes in two
+flavors: the macro mean over clusters (headline) and the sample-weighted
+variant, which differ exactly when cluster sizes are uneven.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ import numpy as np
 from .classify import ClassifierSpec, fit_classifier, predict
 from .cluster import ClusterAssignment
 from .corpus import Corpus
-from .encode import EncodedMatrix, EncodingSpec, fit_encoder
+from .encode import EncodedMatrix, EncodingSpec, fit_streams, token_stream
+from .encode import fit_encoder  # noqa: F401 -- perfbench/spans.py wraps it
 from .errors import (
     LengthMismatchError,
     RaggedGridError,
@@ -143,35 +146,30 @@ def _splits(plan: FoldPlan, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield np.setdiff1d(everything, test_idx), test_idx
 
 
-def encoding_folds(encoding: EncodingSpec, corpus: Corpus, plan: FoldPlan) -> Iterator[Fold]:
-    """Per fold: fit the encoder on the training documents and transform the
-    held-out ones. Folds are built as they are consumed, so only one fold's
-    encoder and matrices are alive at a time."""
-    docs = corpus.documents
-    for train_idx, test_idx in _splits(plan, len(docs)):
-        encoder, X_train = fit_encoder(
-            encoding, [docs[i] for i in train_idx], stopwords=corpus.stopwords
-        )
-        yield Fold(train_idx, test_idx, X_train, encoder.transform([docs[i] for i in test_idx]))
+def stream_folds(
+    spec: EncodingSpec | None, streams: list[list[str]], sample_ids: list[str], plan: FoldPlan
+) -> Iterator[Fold]:
+    """Per fold: fit the encoder (``fit_streams``; ``spec=None`` is plain
+    tf-idf) on the training streams and transform the held-out ones. Folds
+    are built as they are consumed, so only one fold's encoder and matrices
+    are alive at a time."""
+
+    def side(idx: np.ndarray) -> tuple[list[list[str]], list[str]]:
+        return [streams[i] for i in idx], [sample_ids[i] for i in idx]
+
+    for train_idx, test_idx in _splits(plan, len(streams)):
+        encoder, X_train = fit_streams(spec, *side(train_idx))
+        yield Fold(train_idx, test_idx, X_train, encoder.transform(*side(test_idx)))
         del encoder, X_train
 
 
-def bag_folds(bags: list[list[str]], plan: FoldPlan) -> Iterator[Fold]:
-    """Per fold: fit tf-idf on the training bags (e.g. enriched streams) and
-    transform both sides. Built as they are consumed, like ``encoding_folds``."""
-    # Looked up when the folds are built, so instrumentation that replaces
-    # these names in textmath.encode sees the calls.
-    from .encode import fit_tfidf, transform_tfidf
-
-    for train_idx, test_idx in _splits(plan, len(bags)):
-        train = [bags[i] for i in train_idx]
-        tfidf = fit_tfidf(train)
-        yield Fold(
-            train_idx,
-            test_idx,
-            transform_tfidf(tfidf, train),
-            transform_tfidf(tfidf, [bags[i] for i in test_idx]),
-        )
+def encoding_folds(encoding: EncodingSpec, corpus: Corpus, plan: FoldPlan) -> Iterator[Fold]:
+    """``stream_folds`` over the row's token streams, which are built once,
+    when the first fold is requested, so a failure to build them goes to
+    ``score_folds`` like any other fold failure."""
+    docs = corpus.documents
+    streams = [token_stream(d, encoding.content, stopwords=corpus.stopwords) for d in docs]
+    yield from stream_folds(encoding, streams, corpus.ids, plan)
 
 
 def score_folds(
@@ -259,7 +257,8 @@ def cross_validate_bags(
     streams), refitting the vocabulary per training fold."""
     if len(bags) != len(labels):
         raise LengthMismatchError(f"{len(bags)} bags vs {len(labels)} labels")
-    return _single_result(score_folds([spec], bag_folds(bags, plan), labels, label_set))
+    folds = stream_folds(None, bags, [str(i) for i in range(len(bags))], plan)
+    return _single_result(score_folds([spec], folds, labels, label_set))
 
 
 # --- purity ---------------------------------------------------------------------

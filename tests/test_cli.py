@@ -395,18 +395,32 @@ class TestClassificationGrid:
     @pytest.mark.parametrize("classifiers", [["knn"], ["logreg", "knn", "dectree"]])
     def test_each_row_is_encoded_once_per_fold(self, tmp_path, monkeypatch, classifiers):
         fitted = []
-        original = evaluate.fit_encoder
+        original = evaluate.fit_streams
 
-        def counting(spec, docs, stopwords=None):
+        def counting(spec, streams, sample_ids):
             fitted.append(spec.name)
-            return original(spec, docs, stopwords=stopwords)
+            return original(spec, streams, sample_ids)
 
-        monkeypatch.setattr(evaluate, "fit_encoder", counting)
+        monkeypatch.setattr(evaluate, "fit_streams", counting)
         config = load_experiment_config(
             write_config(tmp_path, classifiers=classifiers, clusterers=[], n_folds=3)
         )
         run_experiment(config)
         assert Counter(fitted) == {"text_tfidf": 3, "math_id_tfidf": 3}
+
+    def test_each_rows_streams_are_built_once(self, tmp_path, monkeypatch):
+        """The folds slice one list of streams per row, not one per fold."""
+        built = []
+        original = evaluate.token_stream
+
+        def counting(doc, content, **kwargs):
+            built.append(content)
+            return original(doc, content, **kwargs)
+
+        monkeypatch.setattr(evaluate, "token_stream", counting)
+        config = load_experiment_config(write_config(tmp_path, clusterers=[], n_folds=3))
+        run_experiment(config)
+        assert Counter(built) == {"text": 60, "math_id": 60}
 
     def test_classifier_failing_in_one_fold_empties_only_its_cell(self, tmp_path, monkeypatch):
         knn_fits = []
@@ -432,14 +446,29 @@ class TestClassificationGrid:
         assert len(knn_fits) == 2 + 3  # no fit in its row's last fold
 
     def test_failing_encoder_empties_its_row(self, tmp_path, monkeypatch):
-        original = evaluate.fit_encoder
+        original = evaluate.fit_streams
 
-        def broken(spec, docs, stopwords=None):
+        def broken(spec, streams, sample_ids):
             if spec.content == "math_id":
                 raise RuntimeError("no math")
-            return original(spec, docs, stopwords=stopwords)
+            return original(spec, streams, sample_ids)
 
-        monkeypatch.setattr(evaluate, "fit_encoder", broken)
+        monkeypatch.setattr(evaluate, "fit_streams", broken)
+        self.assert_math_id_row_is_empty(tmp_path, "RuntimeError: no math")
+
+    def test_failing_token_stream_empties_its_row(self, tmp_path, monkeypatch):
+        original = evaluate.token_stream
+
+        def broken(doc, content, **kwargs):
+            if content == "math_id":
+                raise RuntimeError("no streams")
+            return original(doc, content, **kwargs)
+
+        monkeypatch.setattr(evaluate, "token_stream", broken)
+        self.assert_math_id_row_is_empty(tmp_path, "RuntimeError: no streams")
+
+    @staticmethod
+    def assert_math_id_row_is_empty(tmp_path, error):
         config = load_experiment_config(write_config(tmp_path, clusterers=[], n_folds=3))
         report = run_experiment(config)
         assert [c for c, v in report.cells.items() if v is None] == [
@@ -448,7 +477,7 @@ class TestClassificationGrid:
         ]
         record = json.loads((config.output_dir / "run_record.json").read_text())
         assert record["cell_errors"] == [
-            {"stage": "classify", "cell": f"math_id_tfidf/{col}", "error": "RuntimeError: no math"}
+            {"stage": "classify", "cell": f"math_id_tfidf/{col}", "error": error}
             for col in ("logreg", "knn")
         ]
 
@@ -681,6 +710,15 @@ class TestExitCodes:
              "--encoding-b"),
             (["semantify", "{jsonl}", "--lexicon", "{lexicon}", "--output", "{out}", "--top-n", "0"],
              "--top-n"),
+            (["classify", "{jsonl}", "--encoding", "text_tfidf", "--algo", "knn", "--folds", "1",
+              "--output-dir", "{out}"], "--folds"),
+            (["synth", "--output-dir", "{out}", "--seed", "-1"], "--seed"),
+            (["synth", "--output-dir", "{out}", "--classes", "0"], "--classes"),
+            (["synth", "--output-dir", "{out}", "--docs-per-class", "0"], "--docs-per-class"),
+            (["synth", "--output-dir", "{out}", "--vocab-per-class", "0"], "--vocab-per-class"),
+            (["synth", "--output-dir", "{out}", "--shared-identifiers", "0"],
+             "--shared-identifiers"),
+            (["synth", "--output-dir", "{out}", "--operator-skew", "2"], "--operator-skew"),
         ],
     )
     def test_bad_stage_options_are_config_errors(self, pipeline, tmp_path, capsys, argv, field):
@@ -689,6 +727,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not (tmp_path / "o").exists()
+
+    def test_more_folds_than_documents_is_2(self, pipeline, capsys):
+        assert main(["classify", str(pipeline["jsonl"]), "--encoding", "text_tfidf",
+                     "--algo", "knn", "--folds", "9"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_domain_error_is_2(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "ghost.json"),

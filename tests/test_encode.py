@@ -23,6 +23,7 @@ from textmath import (
     transform_tfidf,
 )
 from textmath.embedding import EmbeddingParams
+from textmath.encode import fit_streams
 from tests.conftest import formula, make_doc, make_matrix
 
 
@@ -254,7 +255,7 @@ class TestFittedEncoder:
         encoder, m_train = fit_encoder(
             EncodingSpec("text", "tfidf"), train, stopwords=tiny_corpus.stopwords
         )
-        m_test = encoder.transform(test)
+        m_test = encoder.transform([d.text_tokens for d in test], [d.id for d in test])
         assert m_test.n_features == m_train.n_features
         assert m_test.sample_ids == [d.id for d in test]
 
@@ -271,3 +272,34 @@ class TestFittedEncoder:
         spec = EncodingSpec("text", "embedding", params)
         encoder, m_train = fit_encoder(spec, tiny_corpus.documents, stopwords=frozenset())
         np.testing.assert_array_equal(m_train.features, encoder.embedding.doc_vectors)
+
+    @pytest.mark.parametrize("spec", [
+        EncodingSpec("textmath_opid", "tfidf"),
+        EncodingSpec("math_opid", "embedding", EmbeddingParams(size=8, min_count=1, epochs=2)),
+    ])
+    def test_fit_encoder_is_fit_streams_over_token_streams(self, tiny_corpus, spec):
+        docs = tiny_corpus.documents
+        streams = [token_stream(d, spec.content) for d in docs]
+        ids = [d.id for d in docs]
+        by_docs, m_docs = fit_encoder(spec, docs[:8])
+        by_streams, m_streams = fit_streams(spec, streams[:8], ids[:8])
+        for got, expected in (
+            (m_docs, m_streams),
+            (by_docs.transform(streams[8:], ids[8:]), by_streams.transform(streams[8:], ids[8:])),
+        ):
+            np.testing.assert_array_equal(got.features, expected.features)
+            assert got.sample_ids == expected.sample_ids
+            assert got.spec == expected.spec == spec
+
+    def test_no_spec_is_plain_tfidf_over_bags(self):
+        bags = [["x", "y", "y"], ["y", "z"], ["x"]]
+        encoder, m_train = fit_streams(None, bags[:2], ["a", "b"])
+        m_test = encoder.transform(bags[2:], ["c"])
+        tfidf = fit_tfidf(bags[:2])
+        for got, expected, ids in (
+            (m_train, transform_tfidf(tfidf, bags[:2]), ["a", "b"]),
+            (m_test, transform_tfidf(tfidf, bags[2:]), ["c"]),
+        ):
+            np.testing.assert_array_equal(got.features, expected.features)
+            assert got.sample_ids == ids
+            assert got.spec is None

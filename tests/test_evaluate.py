@@ -26,8 +26,8 @@ from textmath import (
 )
 from textmath import evaluate
 from textmath.classify import fit_classifier, predict
-from textmath.encode import fit_encoder, fit_tfidf, transform_tfidf
-from textmath.evaluate import bag_folds, encoding_folds, normalize_runtimes, score_folds
+from textmath.encode import fit_encoder, fit_tfidf, token_stream, transform_tfidf
+from textmath.evaluate import encoding_folds, normalize_runtimes, score_folds, stream_folds
 from tests.conftest import make_matrix
 
 
@@ -373,6 +373,11 @@ def assert_same_result(result, reference):
 class TestSharedFolds:
     SPECS = [ClassifierSpec("logreg"), ClassifierSpec("knn"), ClassifierSpec("dectree")]
 
+    @staticmethod
+    def bag_folds(bags, plan):
+        """Plain tf-idf folds over pre-built bags."""
+        return stream_folds(None, bags, [f"b{i}" for i in range(len(bags))], plan)
+
     def test_every_spec_matches_the_per_classifier_loop(self, small_corpus):
         docs, labels = small_corpus.documents, small_corpus.labels
         encoding = EncodingSpec("textmath_opid", "tfidf")
@@ -382,7 +387,10 @@ class TestSharedFolds:
             encoder, X_train = fit_encoder(
                 encoding, [docs[i] for i in train_idx], stopwords=small_corpus.stopwords
             )
-            return X_train, encoder.transform([docs[i] for i in test_idx])
+            held_out = [docs[i] for i in test_idx]
+            streams = [token_stream(d, encoding.content, stopwords=small_corpus.stopwords)
+                       for d in held_out]
+            return X_train, encoder.transform(streams, [d.id for d in held_out])
 
         outcomes = score_folds(
             self.SPECS, encoding_folds(encoding, small_corpus, plan), labels, small_corpus.label_set
@@ -408,7 +416,8 @@ class TestSharedFolds:
             )
 
         for spec, outcome in zip(
-            self.SPECS, score_folds(self.SPECS, bag_folds(bags, plan), labels, small_corpus.label_set)
+            self.SPECS,
+            score_folds(self.SPECS, self.bag_folds(bags, plan), labels, small_corpus.label_set),
         ):
             reference = reference_cross_validate(
                 spec, plan, labels, small_corpus.label_set, encode_fold
@@ -439,7 +448,7 @@ class TestSharedFolds:
         bags = [d.text_tokens for d in small_corpus.documents]
         knn, logreg = score_folds(
             [ClassifierSpec("knn"), ClassifierSpec("logreg")],
-            bag_folds(bags, plan),
+            self.bag_folds(bags, plan),
             small_corpus.labels,
             small_corpus.label_set,
         )
@@ -450,7 +459,7 @@ class TestSharedFolds:
     def test_fold_construction_error_goes_to_every_live_spec(self, small_corpus, monkeypatch):
         self.failing_fit(monkeypatch, "knn", call=1)
         plan = make_folds(len(small_corpus.documents), 4, seed=0)
-        good = next(bag_folds([d.text_tokens for d in small_corpus.documents], plan))
+        good = next(self.bag_folds([d.text_tokens for d in small_corpus.documents], plan))
         built = []
 
         def folds():
@@ -475,7 +484,7 @@ class TestSharedFolds:
         built = []
 
         def folds():
-            for fold in bag_folds([d.text_tokens for d in small_corpus.documents], plan):
+            for fold in self.bag_folds([d.text_tokens for d in small_corpus.documents], plan):
                 built.append(fold)
                 yield fold
 

@@ -1,5 +1,6 @@
-"""The names the benchmark in ``perfbench/`` imports from the package, and
-full benchmark runs of two workloads, one of them also traced.
+"""The names the benchmark in ``perfbench/`` imports from the package, an
+in-process traced run that reaches every count hook, and full benchmark
+runs of three workloads, one of them also traced.
 
 The benchmark wraps package functions by name and imports workload helpers
 from it. If one of them moves, a benchmark run fails before it prints its
@@ -9,6 +10,7 @@ those.
 """
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +45,52 @@ def test_every_wrap_target_exists(perfbench):
 
 def test_declared_metrics_match(perfbench):
     perfbench["run"].check_declared_metrics()
+
+
+def test_traced_run_feeds_every_count_hook(perfbench, tmp_path):
+    """A traced grid over the mini corpus plus one malformed document, with an
+    embedding row, a lexicon, one classifier and one clusterer, so every
+    hook that reads a wrapped call's arguments or result runs. A renamed
+    argument would raise here instead of ending a benchmark run malformed."""
+    import textmath
+    from textmath import ClassifierSpec, ClustererSpec, cli, load_corpus
+    from textmath.synth import class_lexicon_tsv
+
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(Path(textmath.__file__).parent / "data" / "mini_corpus", corpus_dir)
+    (corpus_dir / "bad.xml").write_text("<p>unbalanced <math><mi>x</p>", "utf-8")
+    manifest = json.loads((corpus_dir / "manifest.json").read_text("utf-8"))
+    manifest["entries"].append({"path": "bad.xml", "id": "bad", "label": "math"})
+    (corpus_dir / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    class_lexicon_tsv(load_corpus(corpus_dir / "manifest.json"), tmp_path / "lex.tsv")
+    config = cli.ExperimentConfig(
+        corpus_manifest=corpus_dir / "manifest.json",
+        output_dir=tmp_path / "out",
+        encodings=["text_tfidf", "math_opid_embedding"],
+        classifiers=[ClassifierSpec("knn")],
+        clusterers=[ClustererSpec("kmeans", k=3)],
+        n_folds=2,
+        embedding_params={"size": 8, "window": 2, "min_count": 1, "epochs": 1},
+        lexicon=cli.LexiconConfig(tmp_path / "lex.tsv", top_n=2),
+    )
+    tracer = perfbench["spans"].Tracer()
+    assert tracer.missing == []
+    tracer.traced(lambda: cli.run_experiment(config))
+    values = tracer.layer_metrics(config.output_dir)
+    assert values["cli.cell_errors"] == 0
+    counted = [
+        "corpus.docs",
+        "corpus.skipped",
+        "encode.fit_calls",
+        "embedding.train_positions",
+        "embedding.infer_docs",
+        "embedding.infer_positions",
+        "cluster.kmeans.iterations",
+        "evaluate.correlation_pairs",
+        "semantify.enrich_docs",
+        "classify.fit_calls",
+    ]
+    assert {name: values[name] > 0 for name in counted} == dict.fromkeys(counted, True)
 
 
 def test_workload_set_up_and_input_size(perfbench, tmp_path):
