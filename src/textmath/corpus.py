@@ -89,8 +89,9 @@ class Document:
     raw_text: str
     text_tokens: list[str]
     formulas: list[Formula]
-    # Token indexes of raw_text keyed by stopword set, built on first use by
-    # extract_surroundings; they live as long as the document does.
+    # Token indexes of raw_text keyed by stopword set. Parsing and the loaders
+    # build the default set's index; extract_surroundings builds any other on
+    # first use. They live as long as the document does.
     _token_indexes: dict[frozenset[str], _TokenIndex | None] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -130,14 +131,32 @@ class Corpus:
         return [d.id for d in self.documents]
 
 
-def _clean_token(word: str, stopwords: frozenset[str] | set[str]) -> str | None:
-    """The lowercased token, or None when the cleaning rules drop it."""
-    tok = word.lower()
-    # str.isdigit is wider than \d (it also covers forms like superscripts),
-    # and the digit rule is meant to be the strict variant.
-    if len(tok) < MIN_TOKEN_LEN or any(c.isdigit() for c in tok) or tok in stopwords:
-        return None
-    return tok
+class _Cleaner(dict):
+    """The cleaning rule for one stopword set, memoised per word.
+
+    Maps each word-character run to its lowercased token, or to None when the
+    rule drops it (a digit, fewer than 3 characters, or a stopword), and
+    computes the entry on first lookup, so each distinct word is cleaned once
+    for as long as the cleaner lives.
+    """
+
+    def __init__(self, stopwords: frozenset[str] | set[str]) -> None:
+        super().__init__()
+        self.stopwords = stopwords
+
+    def __missing__(self, word: str) -> str | None:
+        tok = word.lower()
+        # str.isdigit is wider than \d (it also covers forms like superscripts),
+        # and the digit rule is meant to be the strict variant.
+        if len(tok) < MIN_TOKEN_LEN or any(c.isdigit() for c in tok) or tok in self.stopwords:
+            tok = None
+        self[word] = tok
+        return tok
+
+    def text(self, raw: str) -> list[str]:
+        """The kept tokens of ``raw`` after NFC normalization, in order."""
+        words = _TOKEN_RE.findall(unicodedata.normalize("NFC", raw))
+        return [tok for tok in map(self.__getitem__, words) if tok is not None]
 
 
 def clean_text(raw: str, stopwords: frozenset[str] | set[str] | None = None) -> list[str]:
@@ -148,15 +167,7 @@ def clean_text(raw: str, stopwords: frozenset[str] | set[str] | None = None) -> 
     stopwords, contain a digit, or are shorter than 3 characters are dropped.
     Order is preserved.
     """
-    if stopwords is None:
-        stopwords = default_stopwords()
-    raw = unicodedata.normalize("NFC", raw)
-    out = []
-    for match in _TOKEN_RE.finditer(raw):
-        tok = _clean_token(match.group(), stopwords)
-        if tok is not None:
-            out.append(tok)
-    return out
+    return _Cleaner(default_stopwords() if stopwords is None else stopwords).text(raw)
 
 
 def _local_name(tag: object) -> str:
@@ -193,9 +204,19 @@ def _parse_markup(raw_markup: str, id: str) -> ET.Element:
 def parse_document(raw_markup: str, format: str, id: str, label: str) -> Document:
     """Parse one markup document into a :class:`Document`.
 
+    The placeholder-stripped text is tokenised once: when it is NFC, that
+    one pass gives both ``text_tokens`` and the document's token index under
+    the default stopword set, which ``extract_surroundings`` then reads.
+
     Raises :class:`MalformedMarkupError` for unbalanced/invalid markup and
     :class:`UnknownFormatError` for an unrecognized format name.
     """
+    return _parse_document(raw_markup, format, id, label, _Cleaner(default_stopwords()))
+
+
+def _parse_document(
+    raw_markup: str, format: str, id: str, label: str, cleaner: _Cleaner
+) -> Document:
     container = FORMAT_CONTAINERS.get(format)
     if container is None:
         raise UnknownFormatError(f"unknown document format {format!r}")
@@ -233,8 +254,16 @@ def parse_document(raw_markup: str, format: str, id: str, label: str) -> Documen
 
     visit(root)
     raw_text = "".join(parts)
-    text_tokens = clean_text(raw_text.replace(PLACEHOLDER, ""))
-    return Document(id=id, label=label, raw_text=raw_text, text_tokens=text_tokens, formulas=formulas)
+    index = _build_index(raw_text, cleaner)
+    if index is None:
+        text_tokens = cleaner.text(raw_text.replace(PLACEHOLDER, ""))
+    else:
+        text_tokens = list(index.kept)
+    doc = Document(
+        id=id, label=label, raw_text=raw_text, text_tokens=text_tokens, formulas=formulas
+    )
+    doc._token_indexes[cleaner.stopwords] = index
+    return doc
 
 
 class _TokenIndex:
@@ -243,14 +272,17 @@ class _TokenIndex:
     ``raw[lo:hi].replace(PLACEHOLDER, "")`` equals ``stripped[a:b]`` with
     ``a, b = self.stripped_offset(lo), self.stripped_offset(hi)``. The word
     tokens of that window are then the whole tokens of the document that lie
-    inside it, plus the inside parts of at most two tokens cut by its edges.
-    Only valid for NFC text: substrings of NFC text are NFC, so cleaning a
-    window never re-normalizes it.
+    inside it, plus the inside parts of at most two tokens cut by its edges;
+    those parts go through the same cleaner as the whole tokens. ``kept``
+    equals ``clean_text(stripped, cleaner.stopwords)``. Only valid for NFC
+    text: substrings of NFC text are NFC, so cleaning a window never
+    re-normalizes it.
     """
 
-    def __init__(self, stripped: str, placeholders: list[int], stopwords: frozenset[str]) -> None:
+    def __init__(self, stripped: str, placeholders: list[int], cleaner: _Cleaner) -> None:
         self.stripped = stripped
         self.placeholders = placeholders  # raw offsets of PLACEHOLDER, ascending
+        self.cleaner = cleaner
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.kept: list[str] = []  # the tokens cleaning keeps, in order
@@ -258,7 +290,7 @@ class _TokenIndex:
         for match in _TOKEN_RE.finditer(stripped):
             self.starts.append(match.start())
             self.ends.append(match.end())
-            tok = _clean_token(match.group(), stopwords)
+            tok = cleaner[match.group()]
             if tok is not None:
                 self.kept.append(tok)
             self.kept_before.append(len(self.kept))
@@ -266,33 +298,38 @@ class _TokenIndex:
     def stripped_offset(self, raw_offset: int) -> int:
         return raw_offset - bisect_left(self.placeholders, raw_offset)
 
-    def window(self, lo: int, hi: int, stopwords: frozenset[str]) -> list[str]:
-        """``clean_text(raw[lo:hi].replace(PLACEHOLDER, ""))`` for
-        ``0 <= lo <= hi <= len(raw)``."""
+    def window(self, lo: int, hi: int) -> list[str]:
+        """``clean_text(raw[lo:hi].replace(PLACEHOLDER, ""), stopwords)`` for
+        ``0 <= lo <= hi <= len(raw)``, with the cleaner's stopwords."""
         a, b = self.stripped_offset(lo), self.stripped_offset(hi)
         first = bisect_left(self.starts, a)  # first token starting inside
         stop = bisect_right(self.ends, b)  # one past the last token ending inside
         if first >= stop:
-            return clean_text(self.stripped[a:b], stopwords)
+            return self.cleaner.text(self.stripped[a:b])
         out = []
         if a < self.starts[first]:
-            out += clean_text(self.stripped[a : self.starts[first]], stopwords)
+            out += self.cleaner.text(self.stripped[a : self.starts[first]])
         out += self.kept[self.kept_before[first] : self.kept_before[stop]]
         if self.ends[stop - 1] < b:
-            out += clean_text(self.stripped[self.ends[stop - 1] : b], stopwords)
+            out += self.cleaner.text(self.stripped[self.ends[stop - 1] : b])
         return out
 
 
+def _build_index(raw_text: str, cleaner: _Cleaner) -> _TokenIndex | None:
+    """The token index of ``raw_text`` for ``cleaner``; None when its
+    stripped text is not NFC."""
+    stripped = raw_text.replace(PLACEHOLDER, "")
+    if not unicodedata.is_normalized("NFC", stripped):
+        return None
+    placeholders = [m.start() for m in _PLACEHOLDER_RE.finditer(raw_text)]
+    return _TokenIndex(stripped, placeholders, cleaner)
+
+
 def _token_index(doc: Document, stopwords: frozenset[str]) -> _TokenIndex | None:
-    """The document's token index for ``stopwords``, built on first use;
-    None when its stripped text is not NFC."""
+    """The document's token index for ``stopwords``, built on first use
+    unless loading built it; None when its stripped text is not NFC."""
     if stopwords not in doc._token_indexes:
-        stripped = doc.raw_text.replace(PLACEHOLDER, "")
-        index = None
-        if unicodedata.is_normalized("NFC", stripped):
-            placeholders = [m.start() for m in _PLACEHOLDER_RE.finditer(doc.raw_text)]
-            index = _TokenIndex(stripped, placeholders, stopwords)
-        doc._token_indexes[stopwords] = index
+        doc._token_indexes[stopwords] = _build_index(doc.raw_text, _Cleaner(stopwords))
     return doc._token_indexes[stopwords]
 
 
@@ -325,7 +362,7 @@ def extract_surroundings(
         if index is None:
             out.extend(clean_text(doc.raw_text[lo:hi].replace(PLACEHOLDER, ""), stopwords))
         else:
-            out.extend(index.window(lo, hi, stopwords))
+            out.extend(index.window(lo, hi))
     return out
 
 
@@ -348,7 +385,9 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     where each entry is ``{"path", "label", "id"}`` with paths relative to the
     manifest file. When ``per_class_limit`` is set, the first N *parsable*
     samples per class (in manifest order) are kept. Samples that fail to
-    parse are skipped with a warning; missing files are fatal.
+    parse are skipped with a warning; missing files are fatal. All
+    documents are cleaned through one memo, so each distinct word is cleaned
+    once per call.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -372,6 +411,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     documents: list[Document] = []
     skipped: list[str] = []
     seen_ids: set[str] = set()
+    cleaner = _Cleaner(default_stopwords())
 
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not {"path", "label", "id"} <= set(entry):
@@ -388,7 +428,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         if not path.is_file():
             raise MissingFileError(f"corpus file not found: {path}")
         try:
-            doc = parse_document(path.read_text("utf-8"), fmt, entry["id"], label)
+            doc = _parse_document(path.read_text("utf-8"), fmt, entry["id"], label, cleaner)
         except MalformedMarkupError as exc:
             logger.warning("skipping %s: %s", entry["id"], exc)
             skipped.append(entry["id"])
@@ -434,11 +474,14 @@ def load_corpus_jsonl(path: str | Path, label_set: list[str] | None = None) -> C
     When ``label_set`` is not given it is derived as the sorted set of
     document labels. A line that is not a well-formed document record
     raises ``MalformedRecordError`` naming the file, the line number and,
-    where the record has one, the document id.
+    where the record has one, the document id. The stored ``text_tokens``
+    are kept as they are; each document's token index is built at load,
+    through one cleaner for the whole file.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFileError(f"corpus dump not found: {path}")
+    cleaner = _Cleaner(default_stopwords())
     documents = []
     for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
         if not line.strip():
@@ -448,6 +491,9 @@ def load_corpus_jsonl(path: str | Path, label_set: list[str] | None = None) -> C
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise TypeError(f"record is a JSON {type(rec).__name__}, not an object")
+            raw_text = rec.get("raw_text", "")
+            if not isinstance(raw_text, str):
+                raise TypeError(f"raw_text is a JSON {type(raw_text).__name__}, not a string")
             doc = Document(
                 id=rec["id"],
                 label=rec["label"],
@@ -469,6 +515,7 @@ def load_corpus_jsonl(path: str | Path, label_set: list[str] | None = None) -> C
                 where += f": document {rec['id']!r}"
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise MalformedRecordError(f"{where}: {reason}") from exc
+        doc._token_indexes[cleaner.stopwords] = _build_index(doc.raw_text, cleaner)
         documents.append(doc)
     if label_set is None:
         label_set = sorted({d.label for d in documents})

@@ -16,7 +16,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .corpus import PLACEHOLDER, Corpus, Document, Formula, clean_text, default_stopwords
+from .corpus import PLACEHOLDER, Corpus, Document, Formula, _Cleaner, default_stopwords
 
 OPERATOR_POOL = ["=", "+", "−", "×", "<", ">", "≤", "∈", "∑", "∫"]
 
@@ -89,8 +89,9 @@ def generate_synthetic_corpus(
         else list(identifier_pool[:shared_identifiers])
     )
     stopwords = default_stopwords()
+    cleaner = _Cleaner(stopwords)  # one memo for every word of this corpus
     for vocab in class_vocab:
-        broken = [w for w in vocab if clean_text(w, stopwords) != [w]]
+        broken = [w for w in vocab if cleaner.text(w) != [w]]
         if broken:
             raise ValueError(f"vocabulary words do not survive cleaning: {broken[:5]}")
 
@@ -146,7 +147,7 @@ def generate_synthetic_corpus(
                     id=f"{label}-{j:03d}",
                     label=label,
                     raw_text=raw_text,
-                    text_tokens=clean_text(raw_text.replace(PLACEHOLDER, ""), stopwords),
+                    text_tokens=cleaner.text(raw_text.replace(PLACEHOLDER, "")),
                     formulas=formulas,
                 )
             )

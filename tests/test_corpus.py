@@ -1,10 +1,13 @@
 """Parsing, cleaning, surroundings extraction, and corpus ingestion."""
 import json
+import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import textmath
 from textmath import (
     PLACEHOLDER,
     Corpus,
@@ -25,6 +28,8 @@ from textmath import (
 )
 from textmath.corpus import _token_index
 from tests.conftest import formula, make_doc
+
+MINI_MANIFEST = Path(textmath.__file__).parent / "data" / "mini_corpus" / "manifest.json"
 
 
 def scan_symbols(markup: str) -> list[tuple[str, str]]:
@@ -128,6 +133,10 @@ class TestCleanText:
 
     def test_greek_letters_kept(self):
         assert "αβγ" in clean_text("the αβγ particles")
+
+    def test_given_stopwords_replace_the_default(self):
+        assert clean_text("The alpha and beta", frozenset()) == ["the", "alpha", "and", "beta"]
+        assert clean_text("The alpha and beta", {"alpha"}) == ["the", "and", "beta"]
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=120))
@@ -296,14 +305,83 @@ class TestSurroundingsIndex:
             "<p>Let <math><mi>x</mi><mo>=</mo><mi>y</mi></math> hold for every "
             "bounded operator <math><mi>T</mi></math> on the space</p>"
         )
-        docs = [parse_document(markup, "html_math", id="d0", label="a") for _ in range(2)]
-        extract_surroundings(docs[0], window=10)
-        assert docs[0]._token_indexes and not docs[1]._token_indexes
-        paths = []
-        for i, doc in enumerate(docs):
-            paths.append(tmp_path / f"dump{i}.jsonl")
-            dump_corpus_jsonl(Corpus(documents=[doc], label_set=["a"]), paths[-1])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        doc = parse_document(markup, "html_math", id="d0", label="a")
+        rebuilt = make_doc(
+            id=doc.id, label=doc.label, raw_text=doc.raw_text,
+            text_tokens=doc.text_tokens, formulas=doc.formulas,
+        )
+
+        def dump(d, name):
+            path = tmp_path / name
+            dump_corpus_jsonl(Corpus(documents=[d], label_set=["a"]), path)
+            return path.read_bytes()
+
+        before = dump(doc, "before.jsonl")
+        extract_surroundings(doc, window=10)
+        extract_surroundings(doc, window=10, stopwords=frozenset())
+        assert len(doc._token_indexes) == 2 and not rebuilt._token_indexes
+        assert dump(doc, "after.jsonl") == before == dump(rebuilt, "rebuilt.jsonl")
+
+
+# Markup text with digits, superscript digits, underscores, mixed case,
+# stopwords, short words, precomposed and decomposed accents (the latter is
+# not NFC) and formulas.
+_MARKUP_PIECES = [
+    "alpha", "Beta", "GAMMA", "ab", "x1", "x²", "var_2", "_", "7", "the", "And",
+    "café", "cafe\u0301", "İstanbul", "straße", " ", "  ", ", ", ".",
+    "<math><mi>x</mi><mo>=</mo></math>", "<math><mo>+</mo></math>",
+]
+
+
+class TestTokenisedOnce:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_MARKUP_PIECES), max_size=40), st.integers(1, 40))
+    def test_parsed_tokens_equal_clean_text(self, pieces, window):
+        doc = parse_document(f"<p>{''.join(pieces)}</p>", "html_math", id="d", label="a")
+        stripped = doc.raw_text.replace(PLACEHOLDER, "")
+        assert doc.text_tokens == clean_text(stripped)
+        index = doc._token_indexes[default_stopwords()]
+        assert (index is not None) == unicodedata.is_normalized("NFC", stripped)
+        assert extract_surroundings(doc, window) == reference_surroundings(doc, window)
+
+    @pytest.mark.parametrize("stopwords", [None, frozenset(), frozenset({"alpha", "the", "and"})])
+    def test_loaded_surroundings_match_reference(self, tmp_path, stopwords):
+        tricky = "".join(_MARKUP_PIECES[:-2]).replace("cafe\u0301", "")
+        mp = write_corpus_files(
+            tmp_path,
+            [
+                ("t0", "a", f"<p>{tricky}<math><mi>x</mi></math>{tricky}</p>"),
+                ("t1", "a", f"<p>Ends {tricky} here <math><mi>y</mi><mo>+</mo></math></p>"),
+                ("t2", "a", "<p>cafe\u0301 alpha <math><mi>z</mi></math> beta</p>"),
+            ],
+        )
+        docs = load_corpus(MINI_MANIFEST).documents + load_corpus(mp).documents
+        for doc in docs:
+            for window in (1, 7, 40, 500):
+                assert extract_surroundings(doc, window, stopwords) == reference_surroundings(
+                    doc, window, stopwords
+                )
+
+    def test_text_tokens_do_not_alias_the_index(self):
+        doc = parse_document(
+            "<p>Let <math><mi>x</mi></math> hold for every operator</p>", "html_math", "d", "a"
+        )
+        want = reference_surroundings(doc)
+        doc.text_tokens.clear()
+        assert extract_surroundings(doc) == want != []
+
+    def test_one_memo_per_load(self, tmp_path):
+        def memos(corpus):
+            return {id(d._token_indexes[default_stopwords()].cleaner) for d in corpus.documents}
+
+        first, second = load_corpus(MINI_MANIFEST), load_corpus(MINI_MANIFEST)
+        assert len(memos(first)) == len(memos(second)) == 1
+        assert memos(first).isdisjoint(memos(second))
+        path = tmp_path / "dump.jsonl"
+        dump_corpus_jsonl(first, path)
+        reloaded = load_corpus_jsonl(path)
+        assert len(memos(reloaded)) == 1 and memos(reloaded).isdisjoint(memos(first))
+        assert reloaded.documents == first.documents
 
 
 def write_corpus_files(tmp_path, entries, format="html_math", label_set=None, limit=None):
@@ -432,8 +510,12 @@ class TestJsonlRoundTrip:
             ('{"id": "a", "label": "x"}', r"dump\.jsonl:2: document 'a': missing key 'raw_text'"),
             ('{"label": "x", "raw_text": ""}', r"dump\.jsonl:2: missing key 'id'"),
             ('["a", "x"]', r"dump\.jsonl:2: record is a JSON list, not an object"),
+            (
+                '{"id": "a", "label": "x", "raw_text": ["t"], "text_tokens": [], "formulas": []}',
+                r"dump\.jsonl:2: document 'a': raw_text is a JSON list, not a string",
+            ),
         ],
-        ids=["not-json", "missing-key", "missing-id", "not-an-object"],
+        ids=["not-json", "missing-key", "missing-id", "not-an-object", "raw-text-not-a-string"],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, tiny_corpus, line, match):
         path = tmp_path / "dump.jsonl"
