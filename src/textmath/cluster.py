@@ -276,18 +276,22 @@ def _log_norm(weighted: np.ndarray) -> np.ndarray:
     return m.ravel() + np.log(np.exp(weighted - m).sum(axis=1))
 
 
-def gmm_loglik(state: dict[str, Any], X: np.ndarray) -> float:
-    """Total log-likelihood of X under a fitted diagonal mixture."""
-    log_p = _log_gauss_diag(X, state["means"], state["variances"])
-    return float(_log_norm(log_p + np.log(state["weights"])).sum())
-
-
 def _fit_gmm(
-    X: np.ndarray, k: int, params: dict[str, Any], seed: int
+    X: np.ndarray,
+    k: int,
+    params: dict[str, Any],
+    seed: int,
+    start: tuple[np.ndarray, dict[str, Any]] | None = None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
+    """Diagonal-covariance EM from a k-means start: ``start`` is that fit's
+    ``(assign, diag)``, and without it the default k-means is fitted with
+    ``seed``. EM stops when the log-likelihood changes by less than ``tol``
+    (``converged``) or after ``max_iter`` steps."""
     n, d = X.shape
     floor = params["cov_floor"]
-    km_assign, km_diag = _fit_kmeans(X, k, DEFAULT_PARAMS["kmeans"], seed)
+    if start is None:
+        start = _fit_kmeans(X, k, DEFAULT_PARAMS["kmeans"], seed)
+    km_assign, km_diag = start
     # _fit_kmeans raises rather than leave a cluster empty, so every
     # component starts with a weight and a variance.
     counts = np.bincount(km_assign, minlength=k)
@@ -302,6 +306,7 @@ def _fit_gmm(
     weighted = _log_gauss_diag(X, means, variances) + np.log(weights)
     log_norm = _log_norm(weighted)
     history = [float(log_norm.sum())]
+    converged = False
     for _ in range(params["max_iter"]):
         # E step: responsibilities via logsumexp.
         resp = np.exp(weighted - log_norm[:, None])
@@ -317,19 +322,76 @@ def _fit_gmm(
         log_norm = _log_norm(weighted)
         history.append(float(log_norm.sum()))
         if abs(history[-1] - history[-2]) < params["tol"]:
+            converged = True
             break
     assign = np.argmax(weighted, axis=1)
     state = {"weights": weights, "means": means, "variances": variances}
-    diag = {"loglik_history": history, "converged": len(history) - 1 < params["max_iter"]}
-    return assign, {**diag, **{k_: v for k_, v in state.items()}}
+    return assign, {"loglik_history": history, "converged": converged, **state}
 
 
 # --- affinity propagation ------------------------------------------------------
 
 
+def _pass_messages(
+    S: np.ndarray, params: dict[str, Any]
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Affinity propagation's damped message passing on the similarities
+    ``S``. Returns the responsibilities ``R``, the availabilities ``A``, the
+    steps taken, and whether the exemplar set ``diag(A + R) > 0`` held for
+    ``stable_iters`` steps before ``max_iter``. ``R`` and ``A`` are damped
+    in place and one n x n work buffer ``T`` holds each step's new values,
+    so a step allocates no n x n array; ``R *= d; T *= 1 - d; R += T`` is
+    the arithmetic of ``d * R + (1 - d) * T``, element by element."""
+    n = S.shape[0]
+    damping = params["damping"]
+    R = np.zeros((n, n))
+    A = np.zeros((n, n))
+    T = np.empty((n, n))
+    idx = np.arange(n)
+    stable = 0
+    exemplars = np.zeros(n, dtype=bool)
+    for iterations in range(1, params["max_iter"] + 1):
+        # Responsibility update: T holds A + S, then the new responsibilities.
+        np.add(A, S, out=T)
+        first = T.argmax(axis=1)
+        first_val = T[idx, first]
+        T[idx, first] = -math.inf
+        second_val = T.max(axis=1)
+        np.subtract(S, first_val[:, None], out=T)
+        T[idx, first] = S[idx, first] - second_val
+        R *= damping
+        T *= 1.0 - damping
+        R += T
+        # Availability update: T holds R clipped at 0 off the diagonal and R
+        # on it, then the new availabilities.
+        np.clip(R, 0.0, None, out=T)
+        np.fill_diagonal(T, R.diagonal())
+        col_sums = T.sum(axis=0)
+        self_avail = col_sums - T.diagonal()
+        np.subtract(col_sums[None, :], T, out=T)
+        np.minimum(0.0, T, out=T)
+        T[idx, idx] = self_avail
+        A *= damping
+        T *= 1.0 - damping
+        A += T
+        new_exemplars = A.diagonal() + R.diagonal() > 0
+        if np.array_equal(new_exemplars, exemplars) and new_exemplars.any():
+            stable += 1
+            if stable >= params["stable_iters"]:
+                return R, A, iterations, True
+        else:
+            stable = 0
+        exemplars = new_exemplars
+    return R, A, iterations, False
+
+
 def _fit_affinity(
     X: np.ndarray, params: dict[str, Any], seed: int
 ) -> tuple[np.ndarray, dict[str, Any]]:
+    """Affinity propagation (Frey & Dueck 2007) on negative squared
+    distances, with the median off-diagonal similarity as every point's
+    preference (``_pass_messages``). Each sample joins the exemplar of
+    highest ``A + R`` in its row."""
     n = X.shape[0]
     S = -_sq_dists(X, X)
     off_diag = S[~np.eye(n, dtype=bool)]
@@ -337,50 +399,16 @@ def _fit_affinity(
     np.fill_diagonal(S, preference)
     # Tiny seeded jitter breaks exact symmetry so oscillation cannot lock in.
     rng = np.random.default_rng(seed)
-    S = S + 1e-12 * (np.abs(S).max() + 1.0) * rng.standard_normal((n, n))
+    S += 1e-12 * (np.abs(S).max() + 1.0) * rng.standard_normal((n, n))
+    R, A, iterations, converged = _pass_messages(S, params)
 
-    damping = params["damping"]
-    R = np.zeros((n, n))
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    stable = 0
-    exemplars = np.zeros(n, dtype=bool)
-    converged = False
-    iterations = 0
-    for iterations in range(1, params["max_iter"] + 1):
-        # Responsibility update.
-        AS = A + S
-        first = AS.argmax(axis=1)
-        first_val = AS[idx, first]
-        AS[idx, first] = -math.inf
-        second_val = AS.max(axis=1)
-        new_R = S - first_val[:, None]
-        new_R[idx, first] = S[idx, first] - second_val
-        R = damping * R + (1.0 - damping) * new_R
-        # Availability update.
-        Rp = np.clip(R, 0.0, None)
-        np.fill_diagonal(Rp, R.diagonal())
-        col_sums = Rp.sum(axis=0)
-        new_A = np.minimum(0.0, col_sums[None, :] - Rp)
-        new_A[idx, idx] = col_sums - Rp.diagonal()
-        A = damping * A + (1.0 - damping) * new_A
-        new_exemplars = (A + R).diagonal() > 0
-        if np.array_equal(new_exemplars, exemplars) and new_exemplars.any():
-            stable += 1
-            if stable >= params["stable_iters"]:
-                converged = True
-                exemplars = new_exemplars
-                break
-        else:
-            stable = 0
-        exemplars = new_exemplars
-
-    ex_idx = np.flatnonzero(exemplars)
+    self_score = A.diagonal() + R.diagonal()
+    ex_idx = np.flatnonzero(self_score > 0)
     if len(ex_idx) == 0:
         # Nothing declared itself an exemplar; fall back to the best-scoring
         # point so downstream code still gets a partition.
-        ex_idx = np.array([int(np.argmax((A + R).diagonal()))])
-    crit = (A + R)[:, ex_idx]
+        ex_idx = np.array([int(np.argmax(self_score))])
+    crit = A[:, ex_idx] + R[:, ex_idx]
     assign = ex_idx[np.argmax(crit, axis=1)]
     assign[ex_idx] = ex_idx
     diag = {
@@ -459,6 +487,25 @@ def _fit_meanshift(X: np.ndarray, params: dict[str, Any]) -> tuple[np.ndarray, d
 # --- entry point -------------------------------------------------------------------
 
 
+def _shared_kmeans(
+    X: EncodedMatrix, features: np.ndarray, spec: ClustererSpec, params: dict[str, Any]
+) -> tuple[np.ndarray, dict[str, Any]]:
+    """``_fit_kmeans(features, spec.k, params, spec.seed)``, fitted once per
+    ``X.features`` array: ``features`` is X's, reduced to ``spec.pca_dims``.
+    A row's kmeans cell and its GMM's start share one fit. The stored
+    arrays are read-only."""
+    if X._kmeans_fits is None or X._kmeans_fits[0] is not X.features:
+        X._kmeans_fits = (X.features, {})
+    fits = X._kmeans_fits[1]
+    key = (spec.k, spec.seed, spec.pca_dims, tuple(sorted(params.items())))
+    if key not in fits:
+        assign, diag = _fit_kmeans(features, spec.k, params, spec.seed)
+        assign.flags.writeable = False
+        diag["centers"].flags.writeable = False
+        fits[key] = (assign, diag)
+    return fits[key]
+
+
 def fit_predict_clusterer(spec: ClustererSpec, X: EncodedMatrix) -> ClusterAssignment:
     features = X.features
     if spec.pca_dims is not None:
@@ -468,17 +515,18 @@ def fit_predict_clusterer(spec: ClustererSpec, X: EncodedMatrix) -> ClusterAssig
         raise KExceedsSamplesError(f"k={spec.k} exceeds {n} samples")
 
     if spec.algo == "kmeans":
-        raw, diag = _fit_kmeans(features, spec.k, spec.params, spec.seed)
+        raw, diag = _shared_kmeans(X, features, spec, spec.params)
         diag = {
             "inertia": diag["inertia"],
-            "inertia_history": diag["inertia_history"],
+            "inertia_history": list(diag["inertia_history"]),
             "iterations": diag["iterations"],
         }
     elif spec.algo == "agglomerative":
         raw = _fit_agglomerative(features, spec.k)
         diag = {}
     elif spec.algo == "gmm":
-        raw, state = _fit_gmm(features, spec.k, spec.params, spec.seed)
+        start = _shared_kmeans(X, features, spec, DEFAULT_PARAMS["kmeans"])
+        raw, state = _fit_gmm(features, spec.k, spec.params, spec.seed, start)
         diag = {
             "converged": state["converged"],
             "final_loglik": state["loglik_history"][-1],

@@ -115,6 +115,12 @@ class EncodedMatrix:
     _pair_cosines: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
+    # (features the fits were computed from, k-means fits keyed by k, seed,
+    # pca_dims and params); kept by ``cluster.fit_predict_clusterer`` so a
+    # row's GMM starts from its k-means column's fit.
+    _kmeans_fits: tuple[np.ndarray, dict[tuple, tuple]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)

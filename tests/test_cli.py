@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import textmath
-from textmath import evaluate
+from textmath import cluster, evaluate
 from textmath.classify import ClassifierSpec
 from textmath.cli import (
     ExperimentConfig,
@@ -536,6 +536,50 @@ class TestClusteringGrid:
         run_experiment(config)
         record = json.loads((config.output_dir / "run_record.json").read_text())
         assert list(record["cluster_diagnostics"]) == ["text_tfidf/kmeans", "math_id_tfidf/kmeans"]
+
+    @pytest.mark.parametrize(
+        "kmeans,gmm_first,fits_per_row",
+        [
+            ({}, False, 1),
+            ({}, True, 1),
+            ({"params": {"n_restarts": 4}}, False, 2),
+            ({"pca_dims": 5}, True, 2),
+        ],
+        ids=["shared", "gmm-first", "other-params", "other-pca"],
+    )
+    def test_a_rows_kmeans_is_fitted_once(self, tmp_path, monkeypatch, kmeans, gmm_first, fits_per_row):
+        """GMM starts from its row's kmeans column's fit when the k-means
+        arguments match; every cell's files equal those of a grid that has
+        that column alone."""
+        fits = []
+        original = cluster._fit_kmeans
+
+        def counting(X, k, params, seed):
+            fits.append(k)
+            return original(X, k, params, seed)
+
+        monkeypatch.setattr(cluster, "_fit_kmeans", counting)
+        columns = {"kmeans": {"algo": "kmeans", "k": 3, **kmeans}, "gmm": {"algo": "gmm", "k": 3}}
+        order = ["gmm", "kmeans"] if gmm_first else ["kmeans", "gmm"]
+        config = load_experiment_config(
+            write_config(tmp_path, classifiers=[], clusterers=[columns[c] for c in order])
+        )
+        report = run_experiment(config)
+        assert None not in report.cells.values()
+        assert len(fits) == fits_per_row * len(config.encodings)
+        for col in order:
+            alone = load_experiment_config(
+                write_config(
+                    tmp_path, f"{col}.json", classifiers=[], clusterers=[columns[col]], output_dir=col
+                )
+            )
+            run_experiment(alone)
+            for row in config.encodings:
+                for suffix in (".csv", ".csv.json"):
+                    name = f"assignments_{row}_{col}{suffix}"
+                    assert (config.output_dir / name).read_bytes() == (
+                        alone.output_dir / name
+                    ).read_bytes()
 
     def test_runtime_row_times_the_clusterer_fit_only(self, tmp_path, monkeypatch):
         """The k=2 column's fit is slow and the k=3 column's file writes are

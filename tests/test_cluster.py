@@ -17,7 +17,7 @@ from textmath import (
     purity,
 )
 from textmath import cluster
-from textmath.cluster import DEFAULT_PARAMS, gmm_loglik
+from textmath.cluster import DEFAULT_PARAMS
 from tests.conftest import make_blobs, make_matrix
 
 
@@ -186,7 +186,7 @@ class TestGmm:
         _, state = cluster._fit_gmm(X, 1, DEFAULT_PARAMS["gmm"], 0)
         mean = np.asarray(state["means"][0])
         var = np.asarray(state["variances"][0])
-        got = gmm_loglik(state, mean[None, :])
+        got = ref_gmm_loglik(state, mean[None, :])
         want = -0.5 * float(np.log(2.0 * math.pi * var).sum())
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -212,6 +212,25 @@ class TestGmm:
         resp = np.exp(log_p - log_p.max(axis=1, keepdims=True))
         resp /= resp.sum(axis=1, keepdims=True)
         assert np.all(resp.max(axis=1) >= 0.99)
+
+    def test_converged_when_tol_is_met_on_the_last_allowed_step(self, far_blobs):
+        X, _ = far_blobs
+        params = {**DEFAULT_PARAMS["gmm"], "max_iter": 1}
+        _, state = cluster._fit_gmm(X.features, 2, params, 0)
+        hist = state["loglik_history"]
+        assert len(hist) == 2 and hist[1] - hist[0] == 0.0
+        assert state["converged"] is True
+
+    def test_converged_flag_on_both_sides_of_max_iter(self):
+        X, _ = make_blobs([[0, 0], [4, 0], [0, 4], [4, 4]], n_per=15, scale=1.2, seed=2)
+        _, state = cluster._fit_gmm(X, 4, DEFAULT_PARAMS["gmm"], 0)
+        steps = len(state["loglik_history"]) - 1
+        assert state["converged"] is True and 1 < steps < DEFAULT_PARAMS["gmm"]["max_iter"]
+        for max_iter, converged in ((steps, True), (steps - 1, False)):
+            params = {**DEFAULT_PARAMS["gmm"], "max_iter": max_iter}
+            _, state = cluster._fit_gmm(X, 4, params, 0)
+            assert len(state["loglik_history"]) - 1 == max_iter
+            assert state["converged"] is converged
 
     def test_empty_kmeans_start_is_rejected(self):
         # Seven rows, six distinct: the k = 7 k-means start leaves a
@@ -322,6 +341,68 @@ class TestSharedInvariants:
         a.diagnostics["flag"] = {1, 2}
         with pytest.raises(TypeError, match="set"):
             dump_assignment(a, path)
+
+
+class TestKmeansHandOff:
+    """A matrix keeps its k-means fits: a row's kmeans cell and its GMM's
+    start fit k-means once between them."""
+
+    @staticmethod
+    def blobs():
+        X, _ = make_blobs([[0.0] * 3, [6.0] * 3, [0.0, 6.0, 0.0]], n_per=12, scale=1.0, seed=18)
+        return make_matrix(X)
+
+    @pytest.mark.parametrize("order", [("kmeans", "gmm"), ("gmm", "kmeans")])
+    def test_kmeans_and_gmm_share_one_fit(self, order):
+        X = self.blobs()
+        with mock.patch.object(cluster, "_fit_kmeans", wraps=cluster._fit_kmeans) as fit:
+            got = {algo: fit_predict_clusterer(ClustererSpec(algo, k=3, seed=1), X) for algo in order}
+        assert fit.call_count == 1
+        own = fit_predict_clusterer(ClustererSpec("kmeans", k=3, seed=1), self.blobs())
+        assert got["kmeans"].cluster_ids == own.cluster_ids
+        assert got["kmeans"].diagnostics == own.diagnostics
+        want, state = cluster._fit_gmm(X.features, 3, DEFAULT_PARAMS["gmm"], 1)
+        assert got["gmm"].cluster_ids == cluster._dense_relabel(want)[0]
+        assert same_bits(got["gmm"].diagnostics["loglik_history"], state["loglik_history"])
+
+    @pytest.mark.parametrize(
+        "kmeans_spec",
+        [ClustererSpec("kmeans", k=3, seed=2), ClustererSpec("kmeans", k=2, seed=1)],
+        ids=["seed", "k"],
+    )
+    def test_a_different_kmeans_is_fitted_on_its_own(self, kmeans_spec):
+        X = self.blobs()
+        with mock.patch.object(cluster, "_fit_kmeans", wraps=cluster._fit_kmeans) as fit:
+            fit_predict_clusterer(kmeans_spec, X)
+            fit_predict_clusterer(ClustererSpec("gmm", k=3, seed=1), X)
+            fit_predict_clusterer(kmeans_spec, X)
+        assert fit.call_count == 2
+
+    def test_reassigned_features_are_fitted_again(self):
+        X = self.blobs()
+        spec = ClustererSpec("kmeans", k=3, seed=1)
+        with mock.patch.object(cluster, "_fit_kmeans", wraps=cluster._fit_kmeans) as fit:
+            first = fit_predict_clusterer(spec, X)
+            X.features = X.features.copy()
+            fit_predict_clusterer(spec, X)
+            X.features = X.features[::-1].copy()
+            moved = fit_predict_clusterer(spec, X)
+        assert fit.call_count == 3
+        assert moved.diagnostics["inertia"] == pytest.approx(first.diagnostics["inertia"])
+
+    def test_kept_fit_is_read_only(self):
+        X = self.blobs()
+        spec = ClustererSpec("kmeans", k=3, seed=1)
+        a = fit_predict_clusterer(spec, X)
+        a.diagnostics["inertia_history"].append(0.0)
+        assert fit_predict_clusterer(spec, X).diagnostics == {
+            **a.diagnostics,
+            "inertia_history": a.diagnostics["inertia_history"][:-1],
+        }
+        (assign, diag), = X._kmeans_fits[1].values()
+        for array in (assign, diag["centers"]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 # --- reference implementations ---------------------------------------------------
@@ -476,6 +557,69 @@ def ref_fit_gmm(X, k, params, seed):
     return assign, {**diag, **{k_: v for k_, v in state.items()}}
 
 
+def ref_fit_affinity(X, params, seed):
+    n = X.shape[0]
+    S = -ref_sq_dists(X, X)
+    off_diag = S[~np.eye(n, dtype=bool)]
+    preference = float(np.median(off_diag)) if n > 1 else 0.0
+    np.fill_diagonal(S, preference)
+    # Tiny seeded jitter breaks exact symmetry so oscillation cannot lock in.
+    rng = np.random.default_rng(seed)
+    S = S + 1e-12 * (np.abs(S).max() + 1.0) * rng.standard_normal((n, n))
+
+    damping = params["damping"]
+    R = np.zeros((n, n))
+    A = np.zeros((n, n))
+    idx = np.arange(n)
+    stable = 0
+    exemplars = np.zeros(n, dtype=bool)
+    converged = False
+    iterations = 0
+    for iterations in range(1, params["max_iter"] + 1):
+        # Responsibility update.
+        AS = A + S
+        first = AS.argmax(axis=1)
+        first_val = AS[idx, first]
+        AS[idx, first] = -math.inf
+        second_val = AS.max(axis=1)
+        new_R = S - first_val[:, None]
+        new_R[idx, first] = S[idx, first] - second_val
+        R = damping * R + (1.0 - damping) * new_R
+        # Availability update.
+        Rp = np.clip(R, 0.0, None)
+        np.fill_diagonal(Rp, R.diagonal())
+        col_sums = Rp.sum(axis=0)
+        new_A = np.minimum(0.0, col_sums[None, :] - Rp)
+        new_A[idx, idx] = col_sums - Rp.diagonal()
+        A = damping * A + (1.0 - damping) * new_A
+        new_exemplars = (A + R).diagonal() > 0
+        if np.array_equal(new_exemplars, exemplars) and new_exemplars.any():
+            stable += 1
+            if stable >= params["stable_iters"]:
+                converged = True
+                exemplars = new_exemplars
+                break
+        else:
+            stable = 0
+        exemplars = new_exemplars
+
+    ex_idx = np.flatnonzero(exemplars)
+    if len(ex_idx) == 0:
+        # Nothing declared itself an exemplar; fall back to the best-scoring
+        # point so downstream code still gets a partition.
+        ex_idx = np.array([int(np.argmax((A + R).diagonal()))])
+    crit = (A + R)[:, ex_idx]
+    assign = ex_idx[np.argmax(crit, axis=1)]
+    assign[ex_idx] = ex_idx
+    diag = {
+        "converged": converged,
+        "iterations": iterations,
+        "exemplars": ex_idx.tolist(),
+        "preference": preference,
+    }
+    return assign, diag, (S, R, A)
+
+
 def ref_shift_points(X, bandwidth, max_iter):
     shifted = X.copy()
     for i in range(X.shape[0]):
@@ -590,6 +734,35 @@ class TestAgainstReference:
             assert state["converged"] == ref["converged"]
             for key in ("weights", "means", "variances"):
                 assert same_bits(state[key], ref[key])
+
+    AFFINITY_PARAMS = [
+        DEFAULT_PARAMS["affinity"],
+        {"damping": 0.9, "max_iter": 60, "stable_iters": 4},
+        {"damping": 0.0, "max_iter": 3, "stable_iters": 1},
+    ]
+
+    @staticmethod
+    def assert_affinity_matches(X, params, seed):
+        assign, diag = cluster._fit_affinity(X, params, seed)
+        want, ref, (S, ref_R, ref_A) = ref_fit_affinity(X, params, seed)
+        assert same_bits(assign, want)
+        assert diag == ref
+        assert same_bits(diag["preference"], ref["preference"])
+        # The messages themselves, not only the partition they lead to.
+        R, A, iterations, converged = cluster._pass_messages(S, params)
+        assert same_bits(R, ref_R) and same_bits(A, ref_A)
+        assert (iterations, converged) == (ref["iterations"], ref["converged"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(X=tie_heavy_rows(), seed=st.integers(0, 3))
+    def test_affinity_is_bit_identical(self, X, seed):
+        for params in self.AFFINITY_PARAMS:
+            self.assert_affinity_matches(X, params, seed)
+
+    @pytest.mark.parametrize("params", AFFINITY_PARAMS, ids=["default", "heavy", "short"])
+    @pytest.mark.parametrize("data_seed", [16, 19, 20])
+    def test_affinity_is_bit_identical_on_tfidf_rows(self, data_seed, params):
+        self.assert_affinity_matches(self.tfidf_like(data_seed), params, data_seed)
 
     @staticmethod
     def tfidf_like(seed):
