@@ -26,7 +26,7 @@ from .cluster import ALGOS as CLUSTERER_ALGOS
 from .cluster import ClusterAssignment, ClustererSpec, dump_assignment, fit_predict_clusterer
 from .corpus import Corpus, dump_corpus_jsonl, load_corpus, load_corpus_jsonl
 from .embedding import EmbeddingParams
-from .encode import EncodingSpec, fit_encoder, parse_encoding_name
+from .encode import Channels, EncodingSpec, count_streams, fit_encoder, parse_encoding_name
 from .errors import ConfigError, TextMathError, ZeroVarianceError, check_int
 from .evaluate import (
     EvaluationReport,
@@ -37,8 +37,8 @@ from .evaluate import (
     make_folds,
     normalize_runtimes,
     purity,
+    row_folds,
     score_folds,
-    stream_folds,
     text_math_correlation,
     weighted_purity,
 )
@@ -237,18 +237,22 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     enc_specs = {name: parse_encoding_name(name, emb_params) for name in config.encodings}
     log = _RunLog(out)
 
-    # Full-corpus matrices back clustering and the correlation table.
+    # Full-corpus matrices back clustering and the correlation table. They
+    # and the classification folds share one count or stream build per channel.
+    channels = Channels(corpus.documents, corpus.stopwords, enc_specs.values())
     matrices = {}
     for name, spec in enc_specs.items():
         try:
-            _, matrices[name] = fit_encoder(spec, corpus.documents, stopwords=corpus.stopwords)
+            _, matrices[name] = fit_encoder(
+                spec, corpus.documents, stopwords=corpus.stopwords, channels=channels
+            )
         except Exception as exc:  # degrade to an empty row
             matrices[name] = None
             log.error("encode", name, exc)
 
     reports = []
     if config.classifiers:
-        reports.append(_run_classification_grid(config, corpus, enc_specs, log))
+        reports.append(_run_classification_grid(config, corpus, enc_specs, channels, log))
     if config.clusterers:
         reports.append(_run_clustering_grid(config, corpus, matrices, log))
     _write_correlations(config, matrices, log)
@@ -279,7 +283,11 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
 
 def _run_classification_grid(
-    config: ExperimentConfig, corpus: Corpus, enc_specs: dict[str, EncodingSpec], log: _RunLog
+    config: ExperimentConfig,
+    corpus: Corpus,
+    enc_specs: dict[str, EncodingSpec],
+    channels: Channels,
+    log: _RunLog,
 ) -> EvaluationReport:
     """Cross-validate every classifier on each row's folds. Each row's folds
     are encoded once and shared by its classifiers, so the runtime row times
@@ -289,11 +297,15 @@ def _run_classification_grid(
     cells: dict[tuple[str, str], float | None] = {}
     raw_times: dict[str, float] = {c: 0.0 for c in col_names}
 
-    rows = [(name, encoding_folds(spec, corpus, plan)) for name, spec in enc_specs.items()]
+    rows = [
+        (name, encoding_folds(spec, corpus, plan, channels)) for name, spec in enc_specs.items()
+    ]
     if config.lexicon is not None:
         lex = load_lexicon(config.lexicon.path)
-        bags = [enrich(d, lex, config.lexicon.top_n, config.lexicon.mode) for d in corpus.documents]
-        folds = stream_folds(None, bags, corpus.ids, plan)
+        counts = count_streams(
+            enrich(d, lex, config.lexicon.top_n, config.lexicon.mode) for d in corpus.documents
+        )
+        folds = row_folds(None, counts, corpus.ids, plan)
         rows.append((SEMANTIFIED_ROW[config.lexicon.mode], folds))
 
     for row_name, folds in rows:
@@ -446,7 +458,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     specs = [_stage_encoding(args, dest) for dest in ("encoding_a", "encoding_b")]
     corpus = load_corpus_jsonl(args.corpus)
-    mats = [fit_encoder(spec, corpus.documents, stopwords=corpus.stopwords)[1] for spec in specs]
+    channels = Channels(corpus.documents, corpus.stopwords, specs)
+    mats = [
+        fit_encoder(spec, corpus.documents, stopwords=corpus.stopwords, channels=channels)[1]
+        for spec in specs
+    ]
     r = text_math_correlation(mats[0], mats[1])
     print(f"pearson r({args.encoding_a}, {args.encoding_b}) = {r:.6f}")
     return 0

@@ -487,35 +487,55 @@ def _fit_meanshift(X: np.ndarray, params: dict[str, Any]) -> tuple[np.ndarray, d
 # --- entry point -------------------------------------------------------------------
 
 
+def _memo(X: EncodedMatrix) -> dict[tuple, Any]:
+    """X's memo of PCA projections and k-means fits, for its current
+    ``features`` array; reassigning ``features`` starts a new one. The
+    stored arrays are read-only."""
+    if X._cluster_memo is None or X._cluster_memo[0] is not X.features:
+        X._cluster_memo = (X.features, {})
+    return X._cluster_memo[1]
+
+
+def _reduced(X: EncodedMatrix, dims: int | None) -> np.ndarray:
+    """X's features, projected onto ``dims`` principal components once per
+    dimension (none when ``dims`` is None)."""
+    if dims is None:
+        return X.features
+    memo = _memo(X)
+    if ("pca", dims) not in memo:
+        features = pca_reduce(X, dims).features
+        features.flags.writeable = False
+        memo[("pca", dims)] = features
+    return memo[("pca", dims)]
+
+
 def _shared_kmeans(
-    X: EncodedMatrix, features: np.ndarray, spec: ClustererSpec, params: dict[str, Any]
+    X: EncodedMatrix, dims: int | None, spec: ClustererSpec, params: dict[str, Any]
 ) -> tuple[np.ndarray, dict[str, Any]]:
-    """``_fit_kmeans(features, spec.k, params, spec.seed)``, fitted once per
-    ``X.features`` array: ``features`` is X's, reduced to ``spec.pca_dims``.
-    A row's kmeans cell and its GMM's start share one fit. The stored
-    arrays are read-only."""
-    if X._kmeans_fits is None or X._kmeans_fits[0] is not X.features:
-        X._kmeans_fits = (X.features, {})
-    fits = X._kmeans_fits[1]
-    key = (spec.k, spec.seed, spec.pca_dims, tuple(sorted(params.items())))
-    if key not in fits:
-        assign, diag = _fit_kmeans(features, spec.k, params, spec.seed)
+    """``_fit_kmeans(_reduced(X, dims), spec.k, params, spec.seed)``, fitted
+    once per features array: a row's kmeans cell and its GMM's start share
+    one fit."""
+    memo = _memo(X)
+    key = ("kmeans", spec.k, spec.seed, dims, tuple(sorted(params.items())))
+    if key not in memo:
+        assign, diag = _fit_kmeans(_reduced(X, dims), spec.k, params, spec.seed)
         assign.flags.writeable = False
         diag["centers"].flags.writeable = False
-        fits[key] = (assign, diag)
-    return fits[key]
+        memo[key] = (assign, diag)
+    return memo[key]
 
 
 def fit_predict_clusterer(spec: ClustererSpec, X: EncodedMatrix) -> ClusterAssignment:
-    features = X.features
+    dims = None
     if spec.pca_dims is not None:
-        features = pca_reduce(X, min(spec.pca_dims, X.n_samples - 1, X.n_features)).features
+        dims = min(spec.pca_dims, X.n_samples - 1, X.n_features)
+    features = _reduced(X, dims)
     n = features.shape[0]
     if spec.k is not None and spec.k > n:
         raise KExceedsSamplesError(f"k={spec.k} exceeds {n} samples")
 
     if spec.algo == "kmeans":
-        raw, diag = _shared_kmeans(X, features, spec, spec.params)
+        raw, diag = _shared_kmeans(X, dims, spec, spec.params)
         diag = {
             "inertia": diag["inertia"],
             "inertia_history": list(diag["inertia_history"]),
@@ -525,7 +545,7 @@ def fit_predict_clusterer(spec: ClustererSpec, X: EncodedMatrix) -> ClusterAssig
         raw = _fit_agglomerative(features, spec.k)
         diag = {}
     elif spec.algo == "gmm":
-        start = _shared_kmeans(X, features, spec, DEFAULT_PARAMS["kmeans"])
+        start = _shared_kmeans(X, dims, spec, DEFAULT_PARAMS["kmeans"])
         raw, state = _fit_gmm(features, spec.k, spec.params, spec.seed, start)
         diag = {
             "converged": state["converged"],

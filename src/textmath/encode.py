@@ -9,6 +9,13 @@ Two encoding methods are supported over seven content channels:
 
 Math tokens are namespaced (``op:``/``id:`` prefixes) so that combined
 text+math channels can never collide with cleaned text tokens.
+
+Tf-idf is a reweighting of term counts. A run counts each of four base
+channels once (text, ``op:``, ``id:`` and surroundings; ``Channels``), as
+an integer matrix whose columns are the sorted tokens. A combined content's
+counts are its parts' counts summed over the union vocabulary, and every
+tf-idf matrix, full-corpus or one side of a fold, is a slice of them: the
+fitting rows give the kept columns and their idf.
 """
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -115,10 +123,11 @@ class EncodedMatrix:
     _pair_cosines: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
-    # (features the fits were computed from, k-means fits keyed by k, seed,
-    # pca_dims and params); kept by ``cluster.fit_predict_clusterer`` so a
-    # row's GMM starts from its k-means column's fit.
-    _kmeans_fits: tuple[np.ndarray, dict[tuple, tuple]] | None = field(
+    # (features the entries were computed from, PCA projections and k-means
+    # fits); kept by ``cluster.fit_predict_clusterer`` so a row's clusterers
+    # share one projection per dimension and its GMM starts from its k-means
+    # column's fit.
+    _cluster_memo: tuple[np.ndarray, dict[tuple, Any]] | None = field(
         default=None, init=False, repr=False
     )
 
@@ -172,6 +181,48 @@ class EncodedMatrix:
 # --- tf-idf ---------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class TokenCounts:
+    """Term counts of token streams: ``counts[i, j]`` is how often
+    ``names[j]`` occurs in stream i. Names are sorted, so every tf-idf matrix
+    sliced from the counts has its columns in sorted token order."""
+
+    names: list[str]
+    counts: np.ndarray  # n_streams x len(names), int32
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+
+def count_streams(streams: Iterable[list[str]]) -> TokenCounts:
+    """Count each stream's tokens. Each stream is read once and not kept, so
+    ``streams`` may be a generator that builds them one at a time."""
+    tokens: list[str] = []
+    counts: list[int] = []
+    sizes: list[int] = []
+    for stream in streams:
+        tally = Counter(stream)
+        tokens += tally
+        counts += tally.values()
+        sizes.append(len(tally))
+    names = sorted(set(tokens))
+    column = {tok: j for j, tok in enumerate(names)}
+    matrix = np.zeros((len(sizes), len(names)), dtype=np.int32)
+    matrix[np.repeat(np.arange(len(sizes)), sizes), [column[t] for t in tokens]] = counts
+    return TokenCounts(names, matrix)
+
+
+def merge_counts(parts: list[TokenCounts]) -> TokenCounts:
+    """The counts of each row's streams concatenated: the parts' counts,
+    summed over the union of their vocabularies."""
+    names = sorted(set().union(*(part.names for part in parts)))
+    column = {tok: j for j, tok in enumerate(names)}
+    matrix = np.zeros((len(parts[0]), len(names)), dtype=np.int32)
+    for part in parts:
+        matrix[:, [column[t] for t in part.names]] += part.counts
+    return TokenCounts(names, matrix)
+
+
 @dataclass
 class TfidfModel:
     """Vocabulary and smoothed idf weights fitted on a set of token bags."""
@@ -180,25 +231,40 @@ class TfidfModel:
     idf: np.ndarray
 
 
+def _fit_columns(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of a count matrix that occur in some row, and their idf
+    over its N rows: idf(t) = ln((1+N)/(1+df(t))) + 1, by ``math.log``."""
+    n = counts.shape[0]
+    if n == 0:
+        raise ValueError("bags must be non-empty")
+    df = np.count_nonzero(counts, axis=0)
+    columns = np.flatnonzero(df)
+    if columns.size == 0:
+        raise AllBagsEmptyError("all token bags are empty")
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df[columns].tolist()])
+    return columns, idf
+
+
+def _weigh(counts: np.ndarray, idf: np.ndarray) -> np.ndarray:
+    """L2-normalized count × idf rows; all-zero rows stay zero. A column
+    slice of a count matrix is Fortran-ordered, and its row norms differ
+    from a C-ordered copy's in the last bit, so the copy is taken first."""
+    mat = np.ascontiguousarray(counts) * idf
+    norms = np.linalg.norm(mat, axis=1)
+    nonzero = norms > 0
+    mat[nonzero] /= norms[nonzero, None]
+    return mat
+
+
 def fit_tfidf(bags: list[list[str]]) -> TfidfModel:
     """Fit vocabulary and idf weights: idf(t) = ln((1+N)/(1+df(t))) + 1.
 
     Columns are assigned in sorted token order so repeated runs produce
     identical matrices.
     """
-    if not bags:
-        raise ValueError("bags must be non-empty")
-    df: Counter[str] = Counter()
-    for bag in bags:
-        df.update(set(bag))
-    if not df:
-        raise AllBagsEmptyError("all token bags are empty")
-    vocabulary = {tok: i for i, tok in enumerate(sorted(df))}
-    n = len(bags)
-    idf = np.empty(len(vocabulary))
-    for tok, col in vocabulary.items():
-        idf[col] = math.log((1 + n) / (1 + df[tok])) + 1.0
-    return TfidfModel(vocabulary=vocabulary, idf=idf)
+    counts = count_streams(bags)
+    _, idf = _fit_columns(counts.counts)  # every counted token occurs in some bag
+    return TfidfModel(vocabulary={tok: j for j, tok in enumerate(counts.names)}, idf=idf)
 
 
 def transform_tfidf(
@@ -210,17 +276,17 @@ def transform_tfidf(
     """Encode bags as L2-normalized count × idf rows; unseen tokens ignored."""
     if sample_ids is None:
         sample_ids = [str(i) for i in range(len(bags))]
-    mat = np.zeros((len(bags), len(model.vocabulary)))
-    for row, bag in enumerate(bags):
-        for tok, count in Counter(bag).items():
-            col = model.vocabulary.get(tok)
-            if col is not None:
-                mat[row, col] = count * model.idf[col]
-    norms = np.linalg.norm(mat, axis=1)
-    nonzero = norms > 0
-    mat[nonzero] /= norms[nonzero, None]
+    counts = count_streams(bags)
+    seen = [j for j, tok in enumerate(counts.names) if tok in model.vocabulary]
+    aligned = np.zeros((len(bags), len(model.vocabulary)), dtype=np.int32)
+    aligned[:, [model.vocabulary[counts.names[j]] for j in seen]] = counts.counts[:, seen]
     names = sorted(model.vocabulary, key=model.vocabulary.get)
-    return EncodedMatrix(spec=spec, sample_ids=list(sample_ids), features=mat, feature_names=names)
+    return EncodedMatrix(
+        spec=spec,
+        sample_ids=list(sample_ids),
+        features=_weigh(aligned, model.idf),
+        feature_names=names,
+    )
 
 
 # --- PCA ------------------------------------------------------------------
@@ -274,11 +340,14 @@ def pca_reduce(m: EncodedMatrix, target_dims: int) -> EncodedMatrix:
 
 @dataclass
 class FittedEncoder:
-    """A fitted tf-idf or embedding encoder that can project new token streams."""
+    """A fitted tf-idf or embedding encoder. ``transform`` encodes new token
+    streams; ``transform_rows`` encodes rows of the source it was fitted on."""
 
     spec: EncodingSpec | None
     tfidf: TfidfModel | None = None
     embedding: EmbeddingModel | None = None
+    # The source's count columns a tf-idf fit keeps: those of its vocabulary.
+    columns: np.ndarray | None = None
 
     def transform(self, streams: list[list[str]], sample_ids: list[str]) -> EncodedMatrix:
         if self.embedding is None:
@@ -288,30 +357,121 @@ class FittedEncoder:
         )
         return EncodedMatrix(spec=self.spec, sample_ids=list(sample_ids), features=rows)
 
+    def transform_rows(
+        self, source: Source, rows: np.ndarray, sample_ids: list[str]
+    ) -> EncodedMatrix:
+        """Encode ``rows`` of ``source``; ``sample_ids`` covers all of its rows."""
+        ids = [sample_ids[i] for i in rows]
+        if self.embedding is not None:
+            return self.transform([source[i] for i in rows], ids)
+        return EncodedMatrix(
+            spec=self.spec,
+            sample_ids=ids,
+            features=_weigh(source.counts[rows][:, self.columns], self.tfidf.idf),
+            feature_names=[source.names[j] for j in self.columns],
+        )
 
-def fit_streams(
-    spec: EncodingSpec | None, streams: list[list[str]], sample_ids: list[str]
+
+# What an encoder is fitted on: counts for tf-idf, token streams for embeddings.
+Source = TokenCounts | list[list[str]]
+
+
+def fit_rows(
+    spec: EncodingSpec | None, source: Source, rows: np.ndarray, sample_ids: list[str]
 ) -> tuple[FittedEncoder, EncodedMatrix]:
-    """Fit an encoder on token streams and return it with the training matrix.
+    """Fit an encoder on ``rows`` of ``source`` and return it with their matrix.
 
-    ``spec=None`` fits plain tf-idf over pre-built bags (e.g. enriched
-    streams). For embeddings the training matrix holds the trained document
-    vectors; held-out streams are later inferred with frozen word vectors.
+    Tf-idf (``spec=None`` is plain tf-idf) is fitted on a ``TokenCounts``:
+    the vocabulary is the columns that occur in those rows, with their idf
+    over those rows. An embedding is trained on the rows' token streams; its
+    training matrix holds the trained document vectors, and other rows are
+    later inferred with frozen word vectors.
     """
-    encoder = FittedEncoder(spec=spec)
     if spec is None or spec.method == "tfidf":
-        encoder.tfidf = fit_tfidf(streams)
-        return encoder, transform_tfidf(encoder.tfidf, streams, sample_ids=sample_ids, spec=spec)
-    encoder.embedding = train_embedding(streams, spec.embedding_params)
+        columns, idf = _fit_columns(source.counts[rows])
+        vocabulary = {source.names[j]: i for i, j in enumerate(columns)}
+        encoder = FittedEncoder(spec=spec, tfidf=TfidfModel(vocabulary, idf), columns=columns)
+        return encoder, encoder.transform_rows(source, rows, sample_ids)
+    encoder = FittedEncoder(
+        spec=spec, embedding=train_embedding([source[i] for i in rows], spec.embedding_params)
+    )
     vectors = encoder.embedding.doc_vectors.copy()
-    return encoder, EncodedMatrix(spec=spec, sample_ids=list(sample_ids), features=vectors)
+    return encoder, EncodedMatrix(
+        spec=spec, sample_ids=[sample_ids[i] for i in rows], features=vectors
+    )
+
+
+# The base channels each content's tokens are made of. A combined content's
+# stream is its parts' streams concatenated (math_opid interleaves them in
+# element order), so its counts are the parts' counts summed.
+_BASE_CHANNELS = {
+    "text": ("text",),
+    "math_op": ("math_op",),
+    "math_id": ("math_id",),
+    "math_opid": ("math_op", "math_id"),
+    "math_surroundings": ("math_surroundings",),
+    "textmath_opid": ("text", "math_op", "math_id"),
+    "textmath_surroundings": ("text", "math_surroundings"),
+}
+
+
+class Channels:
+    """The token channels of one corpus, built once and shared by the
+    encodings of one run: the counts of the four base channels (text,
+    ``op:``, ``id:`` and surroundings), which every tf-idf content sums,
+    and the token streams of the contents that embedding rows read.
+
+    ``specs`` are the encodings the run will fit; the streams of a base
+    channel that an embedding row reads are kept and counted, so they are
+    built once. A base channel whose build fails is built again when next
+    asked for, so every row made from it fails alike.
+    """
+
+    def __init__(
+        self,
+        docs: list[Document],
+        stopwords: frozenset[str] | set[str] | None = None,
+        specs: Iterable[EncodingSpec] = (),
+    ) -> None:
+        self.docs = docs
+        self.stopwords = stopwords
+        self._embedded = {spec.content for spec in specs if spec.method == "embedding"}
+        self._counts: dict[str, TokenCounts] = {}
+        self._streams: dict[str, list[list[str]]] = {}
+
+    def source(self, spec: EncodingSpec) -> Source:
+        """What ``spec``'s encoder is fitted on, one row per document."""
+        if spec.method == "embedding":
+            return self.streams(spec.content)
+        parts = [self._base_counts(base) for base in _BASE_CHANNELS[spec.content]]
+        return parts[0] if len(parts) == 1 else merge_counts(parts)
+
+    def streams(self, content: str) -> list[list[str]]:
+        if content not in self._streams:
+            self._streams[content] = [
+                token_stream(d, content, stopwords=self.stopwords) for d in self.docs
+            ]
+        return self._streams[content]
+
+    def _base_counts(self, base: str) -> TokenCounts:
+        if base not in self._counts:
+            if base in self._embedded:
+                streams = self.streams(base)
+            else:
+                streams = (token_stream(d, base, stopwords=self.stopwords) for d in self.docs)
+            self._counts[base] = count_streams(streams)
+        return self._counts[base]
 
 
 def fit_encoder(
     spec: EncodingSpec,
     docs: list[Document],
     stopwords: frozenset[str] | set[str] | None = None,
+    channels: Channels | None = None,
 ) -> tuple[FittedEncoder, EncodedMatrix]:
-    """Fit an encoder on the token streams of ``docs``; see ``fit_streams``."""
-    streams = [token_stream(d, spec.content, stopwords=stopwords) for d in docs]
-    return fit_streams(spec, streams, [d.id for d in docs])
+    """Fit an encoder on all of ``docs``; see ``fit_rows``. ``channels`` (a
+    ``Channels`` over the same ``docs``) shares counts and streams with the
+    run's other encodings; by default they are built for this call."""
+    if channels is None:
+        channels = Channels(docs, stopwords)
+    return fit_rows(spec, channels.source(spec), np.arange(len(docs)), [d.id for d in docs])

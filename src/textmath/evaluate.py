@@ -3,11 +3,13 @@ matrices, text-math similarity correlation, relative runtimes, and report
 tables.
 
 Every classification row, an encoding or the semantified bags, goes
-through one fold builder, ``stream_folds``. The row's token streams are
-built once; the encoder is refitted on each training fold's streams before
-the held-out streams are transformed, so no vocabulary or embedding
-information leaks across the split, and every classifier in the row is
-fitted and scored on that fold's shared matrices. Purity comes in two
+through one fold builder, ``row_folds``. The row's source is built once per
+run: a tf-idf row's token counts (``encode.Channels``; the semantified bags
+are counted the same way) or an embedding row's token streams. The encoder
+is refitted on each training fold's rows before the held-out rows are
+encoded, so no vocabulary or embedding information leaks across the split;
+a tf-idf fold is a slice of the row's counts. Every classifier in the row
+is fitted and scored on that fold's shared matrices. Purity comes in two
 flavors: the macro mean over clusters (headline) and the sample-weighted
 variant, which differ exactly when cluster sizes are uneven.
 """
@@ -24,7 +26,7 @@ import numpy as np
 from .classify import ClassifierSpec, fit_classifier, predict
 from .cluster import ClusterAssignment
 from .corpus import Corpus
-from .encode import EncodedMatrix, EncodingSpec, fit_streams, token_stream
+from .encode import Channels, EncodedMatrix, EncodingSpec, Source, count_streams, fit_rows
 from .encode import fit_encoder  # noqa: F401 -- perfbench/spans.py wraps it
 from .errors import (
     LengthMismatchError,
@@ -146,30 +148,30 @@ def _splits(plan: FoldPlan, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield np.setdiff1d(everything, test_idx), test_idx
 
 
-def stream_folds(
-    spec: EncodingSpec | None, streams: list[list[str]], sample_ids: list[str], plan: FoldPlan
+def row_folds(
+    spec: EncodingSpec | None, source: Source, sample_ids: list[str], plan: FoldPlan
 ) -> Iterator[Fold]:
-    """Per fold: fit the encoder (``fit_streams``; ``spec=None`` is plain
-    tf-idf) on the training streams and transform the held-out ones. Folds
-    are built as they are consumed, so only one fold's encoder and matrices
-    are alive at a time."""
-
-    def side(idx: np.ndarray) -> tuple[list[list[str]], list[str]]:
-        return [streams[i] for i in idx], [sample_ids[i] for i in idx]
-
-    for train_idx, test_idx in _splits(plan, len(streams)):
-        encoder, X_train = fit_streams(spec, *side(train_idx))
-        yield Fold(train_idx, test_idx, X_train, encoder.transform(*side(test_idx)))
-        del encoder, X_train
+    """Per fold: fit the encoder on the training rows of ``source``
+    (``fit_rows``; ``spec=None`` is plain tf-idf over counts) and encode the
+    held-out rows. Folds are built as they are consumed, so only one fold's
+    encoder and matrices are alive at a time."""
+    for train_idx, test_idx in _splits(plan, len(source)):
+        encoder, X_train = fit_rows(spec, source, train_idx, sample_ids)
+        X_test = encoder.transform_rows(source, test_idx, sample_ids)
+        yield Fold(train_idx, test_idx, X_train, X_test)
+        del encoder, X_train, X_test
 
 
-def encoding_folds(encoding: EncodingSpec, corpus: Corpus, plan: FoldPlan) -> Iterator[Fold]:
-    """``stream_folds`` over the row's token streams, which are built once,
-    when the first fold is requested, so a failure to build them goes to
-    ``score_folds`` like any other fold failure."""
-    docs = corpus.documents
-    streams = [token_stream(d, encoding.content, stopwords=corpus.stopwords) for d in docs]
-    yield from stream_folds(encoding, streams, corpus.ids, plan)
+def encoding_folds(
+    encoding: EncodingSpec, corpus: Corpus, plan: FoldPlan, channels: Channels | None = None
+) -> Iterator[Fold]:
+    """``row_folds`` over the row's source from ``channels`` (the run's; by
+    default built for this call). The source is fetched when the first fold
+    is requested, so a failure to build it goes to ``score_folds`` like any
+    other fold failure."""
+    if channels is None:
+        channels = Channels(corpus.documents, corpus.stopwords)
+    yield from row_folds(encoding, channels.source(encoding), corpus.ids, plan)
 
 
 def score_folds(
@@ -257,7 +259,7 @@ def cross_validate_bags(
     streams), refitting the vocabulary per training fold."""
     if len(bags) != len(labels):
         raise LengthMismatchError(f"{len(bags)} bags vs {len(labels)} labels")
-    folds = stream_folds(None, bags, [str(i) for i in range(len(bags))], plan)
+    folds = row_folds(None, count_streams(bags), [str(i) for i in range(len(bags))], plan)
     return _single_result(score_folds([spec], folds, labels, label_set))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import textmath
-from textmath import cluster, evaluate
+from textmath import cluster, encode, evaluate, load_corpus, make_folds
 from textmath.classify import ClassifierSpec
 from textmath.cli import (
     ExperimentConfig,
@@ -395,32 +395,94 @@ class TestClassificationGrid:
     @pytest.mark.parametrize("classifiers", [["knn"], ["logreg", "knn", "dectree"]])
     def test_each_row_is_encoded_once_per_fold(self, tmp_path, monkeypatch, classifiers):
         fitted = []
-        original = evaluate.fit_streams
+        original = evaluate.fit_rows
 
-        def counting(spec, streams, sample_ids):
-            fitted.append(spec.name)
-            return original(spec, streams, sample_ids)
+        def counting(spec, source, rows, sample_ids):
+            fitted.append((spec.name, tuple(rows)))
+            return original(spec, source, rows, sample_ids)
 
-        monkeypatch.setattr(evaluate, "fit_streams", counting)
+        monkeypatch.setattr(evaluate, "fit_rows", counting)
         config = load_experiment_config(
             write_config(tmp_path, classifiers=classifiers, clusterers=[], n_folds=3)
         )
         run_experiment(config)
-        assert Counter(fitted) == {"text_tfidf": 3, "math_id_tfidf": 3}
+        plan = make_folds(60, 3, 0)
+        train_sides = [
+            tuple(np.setdiff1d(np.arange(60), plan.fold_indices(f))) for f in range(3)
+        ]
+        assert fitted == [(row, side) for row in config.encodings for side in train_sides]
 
     def test_each_rows_streams_are_built_once(self, tmp_path, monkeypatch):
-        """The folds slice one list of streams per row, not one per fold."""
+        """The full-corpus fits and the folds share one token stream per
+        document and channel."""
         built = []
-        original = evaluate.token_stream
+        original = encode.token_stream
 
         def counting(doc, content, **kwargs):
             built.append(content)
             return original(doc, content, **kwargs)
 
-        monkeypatch.setattr(evaluate, "token_stream", counting)
+        monkeypatch.setattr(encode, "token_stream", counting)
         config = load_experiment_config(write_config(tmp_path, clusterers=[], n_folds=3))
         run_experiment(config)
         assert Counter(built) == {"text": 60, "math_id": 60}
+
+    def test_each_base_channel_is_built_once_per_run(self, tmp_path, monkeypatch):
+        """Both surroundings rows, an embedding row and a classifier: the
+        surroundings and the text stream are built once per document, for
+        the full-corpus fits and the folds of all three rows."""
+        built, windows = [], []
+        stream, surroundings = encode.token_stream, encode.extract_surroundings
+
+        def counting_stream(doc, content, **kwargs):
+            built.append(content)
+            return stream(doc, content, **kwargs)
+
+        def counting_surroundings(doc, **kwargs):
+            windows.append(doc.id)
+            return surroundings(doc, **kwargs)
+
+        monkeypatch.setattr(encode, "token_stream", counting_stream)
+        monkeypatch.setattr(encode, "extract_surroundings", counting_surroundings)
+        config = load_experiment_config(
+            write_config(
+                tmp_path,
+                encodings=[
+                    "math_surroundings_tfidf", "textmath_surroundings_tfidf", "text_embedding"
+                ],
+                classifiers=["knn"],
+                n_folds=3,
+                embedding_params={"size": 8, "min_count": 1, "epochs": 1},
+            )
+        )
+        report = run_experiment(config)
+        assert None not in report.cells.values()
+        assert Counter(built) == {"math_surroundings": 60, "text": 60}
+        assert sorted(windows) == sorted(d.id for d in load_corpus(MINI_MANIFEST).documents)
+
+    def test_failing_base_channel_empties_every_row_built_from_it(self, tmp_path, monkeypatch):
+        def broken(doc, **kwargs):
+            raise RuntimeError("no windows")
+
+        monkeypatch.setattr(encode, "extract_surroundings", broken)
+        rows = ["math_surroundings_tfidf", "textmath_surroundings_tfidf"]
+        config = load_experiment_config(
+            write_config(tmp_path, encodings=["text_tfidf", *rows], classifiers=["knn"], n_folds=3)
+        )
+        report = run_experiment(config)
+        assert [cell for cell, value in report.cells.items() if value is None] == [
+            (row, "knn") for row in rows
+        ]
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        error, gone = "RuntimeError: no windows", "encoding unavailable"
+        assert record["cell_errors"] == [
+            *({"stage": "encode", "cell": row, "error": error} for row in rows),
+            *({"stage": "classify", "cell": f"{row}/knn", "error": error} for row in rows),
+            *(
+                {"stage": "cluster", "cell": f"{row}/kmeans", "error": f"TextMathError: {gone}"}
+                for row in rows
+            ),
+        ]
 
     def test_classifier_failing_in_one_fold_empties_only_its_cell(self, tmp_path, monkeypatch):
         knn_fits = []
@@ -446,29 +508,30 @@ class TestClassificationGrid:
         assert len(knn_fits) == 2 + 3  # no fit in its row's last fold
 
     def test_failing_encoder_empties_its_row(self, tmp_path, monkeypatch):
-        original = evaluate.fit_streams
+        original = evaluate.fit_rows
 
-        def broken(spec, streams, sample_ids):
+        def broken(spec, source, rows, sample_ids):
             if spec.content == "math_id":
                 raise RuntimeError("no math")
-            return original(spec, streams, sample_ids)
+            return original(spec, source, rows, sample_ids)
 
-        monkeypatch.setattr(evaluate, "fit_streams", broken)
+        monkeypatch.setattr(evaluate, "fit_rows", broken)
         self.assert_math_id_row_is_empty(tmp_path, "RuntimeError: no math")
 
     def test_failing_token_stream_empties_its_row(self, tmp_path, monkeypatch):
-        original = evaluate.token_stream
+        """The full-corpus fit and the folds both fail, with the same error."""
+        original = encode.token_stream
 
         def broken(doc, content, **kwargs):
             if content == "math_id":
                 raise RuntimeError("no streams")
             return original(doc, content, **kwargs)
 
-        monkeypatch.setattr(evaluate, "token_stream", broken)
-        self.assert_math_id_row_is_empty(tmp_path, "RuntimeError: no streams")
+        monkeypatch.setattr(encode, "token_stream", broken)
+        self.assert_math_id_row_is_empty(tmp_path, "RuntimeError: no streams", encode_failed=True)
 
     @staticmethod
-    def assert_math_id_row_is_empty(tmp_path, error):
+    def assert_math_id_row_is_empty(tmp_path, error, encode_failed=False):
         config = load_experiment_config(write_config(tmp_path, clusterers=[], n_folds=3))
         report = run_experiment(config)
         assert [c for c, v in report.cells.items() if v is None] == [
@@ -476,10 +539,13 @@ class TestClassificationGrid:
             ("math_id_tfidf", "knn"),
         ]
         record = json.loads((config.output_dir / "run_record.json").read_text())
-        assert record["cell_errors"] == [
+        expected = [
             {"stage": "classify", "cell": f"math_id_tfidf/{col}", "error": error}
             for col in ("logreg", "knn")
         ]
+        if encode_failed:
+            expected.insert(0, {"stage": "encode", "cell": "math_id_tfidf", "error": error})
+        assert record["cell_errors"] == expected
 
 
 @pytest.fixture(scope="module")
@@ -575,6 +641,49 @@ class TestClusteringGrid:
             )
             run_experiment(alone)
             for row in config.encodings:
+                for suffix in (".csv", ".csv.json"):
+                    name = f"assignments_{row}_{col}{suffix}"
+                    assert (config.output_dir / name).read_bytes() == (
+                        alone.output_dir / name
+                    ).read_bytes()
+
+    def test_a_rows_projection_is_computed_once(self, tmp_path, monkeypatch):
+        """Every clusterer of a row at one ``pca_dims`` shares one PCA
+        projection; every cell's files equal those of a grid that has that
+        column alone."""
+        dims = []
+        original = cluster.pca_reduce
+
+        def counting(m, target_dims):
+            dims.append(target_dims)
+            return original(m, target_dims)
+
+        monkeypatch.setattr(cluster, "pca_reduce", counting)
+        encodings = ["text_tfidf", "math_id_tfidf", "math_opid_tfidf"]
+        columns = {
+            algo: {"algo": algo, "k": 3, "pca_dims": 5} for algo in ("kmeans", "agglomerative", "gmm")
+        }
+        config = load_experiment_config(
+            write_config(
+                tmp_path, encodings=encodings, classifiers=[], clusterers=list(columns.values())
+            )
+        )
+        report = run_experiment(config)
+        assert None not in report.cells.values()
+        assert dims == [5] * len(encodings)
+        for col, column in columns.items():
+            alone = load_experiment_config(
+                write_config(
+                    tmp_path,
+                    f"{col}.json",
+                    encodings=encodings,
+                    classifiers=[],
+                    clusterers=[column],
+                    output_dir=col,
+                )
+            )
+            run_experiment(alone)
+            for row in encodings:
                 for suffix in (".csv", ".csv.json"):
                     name = f"assignments_{row}_{col}{suffix}"
                     assert (config.output_dir / name).read_bytes() == (

@@ -399,7 +399,7 @@ class TestKmeansHandOff:
             **a.diagnostics,
             "inertia_history": a.diagnostics["inertia_history"][:-1],
         }
-        (assign, diag), = X._kmeans_fits[1].values()
+        (assign, diag), = X._cluster_memo[1].values()
         for array in (assign, diag["centers"]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0

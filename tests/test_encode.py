@@ -22,8 +22,8 @@ from textmath import (
     token_stream,
     transform_tfidf,
 )
-from textmath.embedding import EmbeddingParams
-from textmath.encode import fit_streams
+from textmath.embedding import EmbeddingParams, train_embedding
+from textmath.encode import FittedEncoder, count_streams, fit_rows
 from tests.conftest import formula, make_doc, make_matrix
 
 
@@ -277,29 +277,42 @@ class TestFittedEncoder:
         EncodingSpec("textmath_opid", "tfidf"),
         EncodingSpec("math_opid", "embedding", EmbeddingParams(size=8, min_count=1, epochs=2)),
     ])
-    def test_fit_encoder_is_fit_streams_over_token_streams(self, tiny_corpus, spec):
+    def test_fit_encoder_fits_the_token_streams(self, tiny_corpus, spec):
+        """fit_encoder equals the encoder fitted on the documents' token
+        streams: tf-idf by fit_tfidf and transform_tfidf, embeddings by
+        train_embedding; held-out streams transform alike."""
         docs = tiny_corpus.documents
         streams = [token_stream(d, spec.content) for d in docs]
         ids = [d.id for d in docs]
-        by_docs, m_docs = fit_encoder(spec, docs[:8])
-        by_streams, m_streams = fit_streams(spec, streams[:8], ids[:8])
-        for got, expected in (
-            (m_docs, m_streams),
-            (by_docs.transform(streams[8:], ids[8:]), by_streams.transform(streams[8:], ids[8:])),
+        encoder, m_train = fit_encoder(spec, docs[:8])
+        if spec.method == "tfidf":
+            oracle = FittedEncoder(spec, tfidf=fit_tfidf(streams[:8]))
+            assert encoder.tfidf.vocabulary == oracle.tfidf.vocabulary
+            expected = transform_tfidf(oracle.tfidf, streams[:8], ids[:8], spec)
+        else:
+            model = train_embedding(streams[:8], spec.embedding_params)
+            oracle = FittedEncoder(spec, embedding=model)
+            expected = EncodedMatrix(spec, ids[:8], oracle.embedding.doc_vectors)
+        for got, want in (
+            (m_train, expected),
+            (encoder.transform(streams[8:], ids[8:]), oracle.transform(streams[8:], ids[8:])),
         ):
-            np.testing.assert_array_equal(got.features, expected.features)
-            assert got.sample_ids == expected.sample_ids
-            assert got.spec == expected.spec == spec
+            np.testing.assert_array_equal(got.features, want.features)
+            assert got.feature_names == want.feature_names
+            assert got.sample_ids == want.sample_ids
+            assert got.spec == want.spec == spec
 
     def test_no_spec_is_plain_tfidf_over_bags(self):
         bags = [["x", "y", "y"], ["y", "z"], ["x"]]
-        encoder, m_train = fit_streams(None, bags[:2], ["a", "b"])
-        m_test = encoder.transform(bags[2:], ["c"])
+        counts = count_streams(bags)
+        encoder, m_train = fit_rows(None, counts, np.arange(2), ["a", "b", "c"])
+        m_test = encoder.transform_rows(counts, np.array([2]), ["a", "b", "c"])
         tfidf = fit_tfidf(bags[:2])
         for got, expected, ids in (
             (m_train, transform_tfidf(tfidf, bags[:2]), ["a", "b"]),
             (m_test, transform_tfidf(tfidf, bags[2:]), ["c"]),
         ):
             np.testing.assert_array_equal(got.features, expected.features)
+            assert got.feature_names == expected.feature_names
             assert got.sample_ids == ids
             assert got.spec is None

@@ -1,11 +1,17 @@
 """Folds, accuracy, purity, correlation, runtimes, and report tables."""
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import textmath
 
 from textmath import (
+    AllBagsEmptyError,
     ClassifierSpec,
     ConfusionMatrix,
     EncodingSpec,
@@ -17,7 +23,10 @@ from textmath import (
     build_report,
     cross_validate,
     cross_validate_bags,
+    enrich,
     generate_synthetic_corpus,
+    load_corpus,
+    load_lexicon,
     make_folds,
     pearson,
     purity,
@@ -26,8 +35,20 @@ from textmath import (
 )
 from textmath import evaluate
 from textmath.classify import fit_classifier, predict
-from textmath.encode import fit_encoder, fit_tfidf, token_stream, transform_tfidf
-from textmath.evaluate import encoding_folds, normalize_runtimes, score_folds, stream_folds
+from textmath.encode import (
+    CONTENTS,
+    Channels,
+    count_streams,
+    fit_encoder,
+    fit_rows,
+    fit_tfidf,
+    merge_counts,
+    token_stream,
+    transform_tfidf,
+)
+from textmath.evaluate import encoding_folds, normalize_runtimes, row_folds, score_folds
+from textmath.semantify import MODES
+from textmath.synth import class_lexicon_tsv
 from tests.conftest import make_matrix
 
 
@@ -376,7 +397,7 @@ class TestSharedFolds:
     @staticmethod
     def bag_folds(bags, plan):
         """Plain tf-idf folds over pre-built bags."""
-        return stream_folds(None, bags, [f"b{i}" for i in range(len(bags))], plan)
+        return row_folds(None, count_streams(bags), [f"b{i}" for i in range(len(bags))], plan)
 
     def test_every_spec_matches_the_per_classifier_loop(self, small_corpus):
         docs, labels = small_corpus.documents, small_corpus.labels
@@ -504,3 +525,128 @@ class TestSharedFolds:
             cross_validate_bags(
                 ClassifierSpec("knn"), bags, small_corpus.labels, small_corpus.label_set, plan
             )
+
+
+# --- tf-idf from counts ------------------------------------------------------------
+
+MINI_MANIFEST = Path(textmath.__file__).parent / "data" / "mini_corpus" / "manifest.json"
+
+
+def same_matrix(got, want):
+    """Bit for bit, feature names and sample ids included."""
+    assert got.features.dtype == want.features.dtype
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.feature_names == want.feature_names
+    assert got.sample_ids == want.sample_ids
+
+
+def oracle_folds(bags, ids, plan):
+    """(train, test) matrices of each fold by fit_tfidf and transform_tfidf
+    on the bags themselves."""
+    for fold in range(plan.n_folds):
+        test_idx = plan.fold_indices(fold)
+        train_idx = np.setdiff1d(np.arange(len(bags)), test_idx)
+        model = fit_tfidf([bags[i] for i in train_idx])
+        yield tuple(
+            transform_tfidf(model, [bags[i] for i in idx], [ids[i] for i in idx])
+            for idx in (train_idx, test_idx)
+        )
+
+
+def oracle_folds_or_errors(bags, ids, plan):
+    """``oracle_folds``, ending with (exception, None) at the first fold
+    whose training side the oracle cannot fit."""
+    folds = oracle_folds(bags, ids, plan)
+    while True:
+        try:
+            yield next(folds)
+        except StopIteration:
+            return
+        except AllBagsEmptyError as exc:
+            yield exc, None
+            return
+
+
+class TestCountPath:
+    """Every tf-idf matrix is a slice of one count matrix per channel. It
+    equals fit_tfidf + transform_tfidf on the token streams: the full-corpus
+    matrix and both sides of every fold."""
+
+    @pytest.fixture(scope="class")
+    def mini(self):
+        corpus = load_corpus(MINI_MANIFEST)
+        return corpus, Channels(corpus.documents, corpus.stopwords)
+
+    @pytest.mark.parametrize("content", CONTENTS)
+    def test_every_content_matches_the_stream_oracle(self, mini, content):
+        corpus, channels = mini
+        spec = EncodingSpec(content, "tfidf")
+        streams = [token_stream(d, content, stopwords=corpus.stopwords) for d in corpus.documents]
+        _, full = fit_encoder(spec, corpus.documents, corpus.stopwords, channels=channels)
+        same_matrix(full, transform_tfidf(fit_tfidf(streams), streams, corpus.ids))
+        assert full.spec == spec
+        plan = make_folds(len(streams), 5, seed=3)
+        folds = list(encoding_folds(spec, corpus, plan, channels))
+        assert len(folds) == 5
+        for fold, (train, test) in zip(folds, oracle_folds(streams, corpus.ids, plan)):
+            same_matrix(fold.X_train, train)
+            same_matrix(fold.X_test, test)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_semantified_bags_match_the_stream_oracle(self, mini, mode, tmp_path):
+        corpus, _ = mini
+        class_lexicon_tsv(corpus, tmp_path / "lex.tsv")
+        lex = load_lexicon(tmp_path / "lex.tsv")
+        bags = [enrich(d, lex, 2, mode) for d in corpus.documents]
+        counts = count_streams(bags)
+        _, full = fit_rows(None, counts, np.arange(len(bags)), corpus.ids)
+        same_matrix(full, transform_tfidf(fit_tfidf(bags), bags, corpus.ids))
+        plan = make_folds(len(bags), 4, seed=1)
+        for fold, (train, test) in zip(
+            row_folds(None, counts, corpus.ids, plan), oracle_folds(bags, corpus.ids, plan)
+        ):
+            same_matrix(fold.X_train, train)
+            same_matrix(fold.X_test, test)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["a", "b", "word", "zeta"]), max_size=6),
+                st.lists(st.sampled_from(["word", "x", "yy"]), max_size=6),
+            ),
+            min_size=2,
+            max_size=9,
+        ),
+        st.integers(2, 9),
+        st.integers(0, 3),
+    )
+    def test_summed_channels_match_the_concatenated_streams(self, rows, n_folds, seed):
+        """Random bags with empty ones, tokens only some folds hold out, and
+        a word in both parts, whose counts are summed."""
+        text, surroundings = ([list(part) for part in side] for side in zip(*rows))
+        bags = [a + b for a, b in zip(text, surroundings)]
+        ids = [f"r{i}" for i in range(len(bags))]
+        merged = merge_counts([count_streams(text), count_streams(surroundings)])
+        concatenated = count_streams(bags)
+        assert merged.names == concatenated.names
+        np.testing.assert_array_equal(merged.counts, concatenated.counts)
+        plan = make_folds(len(bags), min(n_folds, len(bags)), seed)
+        folds = row_folds(None, merged, ids, plan)
+        for train, test in oracle_folds_or_errors(bags, ids, plan):
+            if isinstance(train, Exception):
+                with pytest.raises(type(train), match=f"^{train}$"):
+                    next(folds)
+                return
+            fold = next(folds)
+            same_matrix(fold.X_train, train)
+            same_matrix(fold.X_test, test)
+
+    def test_all_empty_training_side_raises(self):
+        counts = count_streams([[], [], ["a"]])
+        with pytest.raises(AllBagsEmptyError, match="^all token bags are empty$"):
+            fit_rows(None, counts, np.array([0, 1]), ["r0", "r1", "r2"])
+        with pytest.raises(AllBagsEmptyError, match="^all token bags are empty$"):
+            fit_tfidf([[], []])
+

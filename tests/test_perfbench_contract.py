@@ -91,6 +91,9 @@ def test_traced_run_feeds_every_count_hook(perfbench, tmp_path):
         "classify.fit_calls",
     ]
     assert {name: values[name] > 0 for name in counted} == dict.fromkeys(counted, True)
+    # One wrapped ``cli.fit_encoder`` call per row: a run that stops calling
+    # the wrapped name fails here, not as a skewed benchmark metric.
+    assert values["encode.fit_calls"] == 2
 
 
 def test_workload_set_up_and_input_size(perfbench, tmp_path):
