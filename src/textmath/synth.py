@@ -4,7 +4,9 @@ Construction mirrors the namespace-overlap situation in real scientific
 corpora: every class gets its own disjoint text vocabulary (so text carries
 full class signal), while all classes draw their formula identifiers from
 one shared pool (so identifiers alone carry none). An optional skew makes
-operator usage class-dependent.
+operator usage class-dependent, and an optional overlap draws some text
+words from other classes' vocabularies, so text no longer separates the
+classes perfectly.
 """
 from __future__ import annotations
 
@@ -53,12 +55,18 @@ def generate_synthetic_corpus(
     ids_per_formula: tuple[int, int] = (2, 5),
     ops_per_formula: tuple[int, int] = (1, 4),
     operator_skew: float = 0.0,
+    text_overlap: float = 0.0,
     labels: list[str] | None = None,
     class_vocabularies: list[list[str]] | None = None,
     identifier_pool: list[str] | None = None,
 ) -> Corpus:
     """Random documents with disjoint per-class text vocabularies and one
     shared identifier pool; deterministic per seed.
+
+    With ``text_overlap`` p > 0, each text word is drawn, with probability
+    p, from the vocabulary of a uniformly drawn class (its own included)
+    instead of its own class's. At 0 nothing extra is drawn, so the corpus
+    is the same as without the keyword.
 
     The generated vocabulary/label/identifier schemes can be overridden
     (e.g. to bundle a themed demo corpus); supplied vocabulary words must
@@ -68,6 +76,8 @@ def generate_synthetic_corpus(
         raise ValueError("all counts must be >= 1")
     if not 0.0 <= operator_skew <= 1.0:
         raise ValueError("operator_skew must be in [0, 1]")
+    if not 0.0 <= text_overlap <= 1.0:
+        raise ValueError("text_overlap must be in [0, 1]")
     rng = np.random.default_rng(seed)
     if labels is None:
         labels = [f"class{ci:02d}" for ci in range(n_classes)]
@@ -101,7 +111,13 @@ def generate_synthetic_corpus(
         preferred_op = ci % len(OPERATOR_POOL)
         for j in range(docs_per_class):
             n_tok = int(rng.integers(tokens_per_doc[0], tokens_per_doc[1] + 1))
-            words = [vocab[int(w)] for w in rng.integers(len(vocab), size=n_tok)]
+            word_ids = rng.integers(len(vocab), size=n_tok)
+            if text_overlap > 0.0:
+                swap = rng.random(n_tok) < text_overlap
+                source = np.where(swap, rng.integers(n_classes, size=n_tok), ci)
+                words = [class_vocab[int(c)][int(w)] for c, w in zip(source, word_ids)]
+            else:
+                words = [vocab[int(w)] for w in word_ids]
             n_formulas = int(rng.integers(formulas_per_doc[0], formulas_per_doc[1] + 1))
             slots = np.sort(rng.integers(0, n_tok + 1, size=n_formulas))
 

@@ -360,3 +360,63 @@ def test_10_fold_plans_cover_disjointly_with_balanced_sizes():
             break
         checked += 1
     announce(10, "fold-plan invariants", failures, f"{checked} random (n, k, seed) triples")
+
+
+# Bands for test 11, each the mean +- 3 sd of twelve measured seeds (0-11):
+# the tf-idf rows over corpus seeds, the embedding row over embedding seeds
+# on the test's corpus (seed 0), with the per-position trainer that the
+# vectorised kernel replaced. Text tf-idf: mean 0.8306, sd 0.0392;
+# text_embedding: mean 0.4703, sd 0.0292.
+OVERLAP_TEXT_BAND = (0.71, 0.95)
+OVERLAP_EMBEDDING_BAND = (0.38, 0.56)
+OVERLAP_EMBEDDING = EmbeddingParams(
+    size=50, window=2, min_count=1, epochs=10, initial_alpha=0.05, min_alpha=0.05, seed=0
+)
+
+
+@pytest.fixture(scope="module")
+def overlap_scores():
+    """A 7-class corpus whose text words come from a random class's
+    vocabulary with probability 0.65, and whose operators lean towards a
+    class-preferred one: text separates the classes well but not perfectly,
+    so a scoring regression of a few points shows."""
+    corpus = generate_synthetic_corpus(
+        7, 16, vocab_per_class=10, shared_identifiers=12, seed=0,
+        tokens_per_doc=(15, 25), operator_skew=0.3, text_overlap=0.65,
+    )
+    plan = make_folds(len(corpus.documents), 3, seed=0)
+    clf = ClassifierSpec("logreg")
+    out = {"n_docs": len(corpus.documents), "n_classes": len(corpus.label_set)}
+    for name in ("text_tfidf", "textmath_opid_tfidf", "math_id_tfidf", "text_embedding"):
+        spec = parse_encoding_name(name, OVERLAP_EMBEDDING)
+        out[name] = cross_validate(clf, spec, corpus, plan).mean_accuracy
+    return out
+
+
+def test_11_overlap_corpus_scores_stay_in_measured_bands(overlap_scores):
+    failures = []
+    s = overlap_scores
+    for name, (lo, hi) in (
+        ("text_tfidf", OVERLAP_TEXT_BAND),
+        ("text_embedding", OVERLAP_EMBEDDING_BAND),
+    ):
+        if not lo <= s[name] <= hi:
+            failures.append(f"{name} accuracy {s[name]:.4f} outside [{lo}, {hi}]")
+    if s["textmath_opid_tfidf"] < s["text_tfidf"]:
+        failures.append(
+            f"textmath_opid_tfidf {s['textmath_opid_tfidf']:.4f} < text {s['text_tfidf']:.4f}"
+        )
+    p = 1.0 / s["n_classes"]
+    band = 3.0 * math.sqrt(p * (1.0 - p) / s["n_docs"])
+    if abs(s["math_id_tfidf"] - p) > band:
+        failures.append(f"math_id_tfidf accuracy {s['math_id_tfidf']:.4f} outside {p:.4f}±{band:.4f}")
+    announce(
+        11,
+        "overlap corpus scores inside measured bands",
+        failures,
+        ", ".join(
+            f"{n}={s[n]:.4f}"
+            for n in ("text_tfidf", "textmath_opid_tfidf", "math_id_tfidf", "text_embedding")
+        )
+        + f", chance band {p:.4f}±{band:.4f}",
+    )

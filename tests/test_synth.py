@@ -130,12 +130,30 @@ class TestGeneration:
         assert preferred_fraction(plain) < 0.3
         assert preferred_fraction(skewed) > 0.8
 
+    def test_text_overlap_mixes_vocabularies(self):
+        kwargs = dict(vocab_per_class=6, shared_identifiers=4, seed=7)
+        plain = generate_synthetic_corpus(3, 10, **kwargs)
+        assert generate_synthetic_corpus(3, 10, text_overlap=0.0, **kwargs) == plain
+        mixed = generate_synthetic_corpus(3, 10, text_overlap=0.6, **kwargs)
+        own = {
+            lab: {t for d in plain.documents if d.label == lab for t in d.text_tokens}
+            for lab in plain.label_set
+        }
+        foreign = [t not in own[d.label] for d in mixed.documents for t in d.text_tokens]
+        # a swapped word lands in one of the other 2 of 3 classes 2/3 of the time
+        assert 0.3 < sum(foreign) / len(foreign) < 0.5
+        assert {t for d in mixed.documents for t in d.text_tokens} <= set().union(*own.values())
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             generate_synthetic_corpus(0, 3, vocab_per_class=5, shared_identifiers=2)
         with pytest.raises(ValueError):
             generate_synthetic_corpus(
                 2, 3, vocab_per_class=5, shared_identifiers=2, operator_skew=1.5
+            )
+        with pytest.raises(ValueError):
+            generate_synthetic_corpus(
+                2, 3, vocab_per_class=5, shared_identifiers=2, text_overlap=-0.1
             )
 
 
