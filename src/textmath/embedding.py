@@ -7,11 +7,20 @@ output layer is trained against `negative` noise words drawn from the
 unigram distribution raised to 0.75.
 
 All randomness flows from a single seeded generator, so training is
-bit-reproducible. Held-out documents are encoded by gradient steps on a
-fresh document vector with word and output weights frozen.
+bit-reproducible. The draws of one pass over a document (every position's
+reduced window, and every position's noise words) are taken in one call
+before the pass (`_draw_pass`); within the pass the updates stay sequential,
+position by position. Held-out documents are encoded by gradient steps on a
+fresh document vector with word and output weights frozen, so each context's
+word sum comes from one prefix sum per document and each step scores every
+context against its output rows at once; only the document-vector update
+runs per position. Results at a given seed therefore differ from those of the
+earlier per-position draws.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,6 +31,19 @@ from .errors import EmptyVocabularyError, check_int
 INFER_STEPS = 50
 INFER_ALPHA = 0.025
 _INFER_STREAM_KEY = 0x1DF3
+# Inference scores this many positions' contexts at once, which bounds its
+# scratch memory to _INFER_BLOCK x (1 + negative) x size floats.
+_INFER_BLOCK = 1024
+
+
+def _check_float(name: str, value: object, *, positive: bool) -> None:
+    """Raise naming ``name`` unless ``value`` is a finite real number that is
+    > 0 (``positive``) or >= 0. Bools are rejected."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    bound = "> 0" if positive else ">= 0"
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +64,11 @@ class EmbeddingParams:
             check_int(f"EmbeddingParams.{name}", getattr(self, name), 1)
         for name in ("negative", "seed"):
             check_int(f"EmbeddingParams.{name}", getattr(self, name), 0)
-        if self.initial_alpha <= 0:
-            raise ValueError("initial_alpha must be positive")
+        for name in ("initial_alpha", "min_alpha"):
+            _check_float(f"EmbeddingParams.{name}", getattr(self, name), positive=True)
+        _check_float(
+            "EmbeddingParams.alpha_decay_per_epoch", self.alpha_decay_per_epoch, positive=False
+        )
 
 
 @dataclass
@@ -57,7 +82,8 @@ class EmbeddingModel:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    # Only the low clip matters: above 37, 1 + exp(-x) already rounds to 1.
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -60.0)))
 
 
 def _index_streams(streams: list[list[str]], vocabulary: dict[str, int]) -> list[np.ndarray]:
@@ -95,63 +121,112 @@ def init_model(streams: list[list[str]], params: EmbeddingParams) -> EmbeddingMo
     )
 
 
-def _draw_negatives(
-    rng: np.random.Generator, noise_cdf: np.ndarray, target: int, negative: int
-) -> list[int]:
-    # Index 0 is always the true target (label 1), the rest noise (label 0).
-    word_indices = [target]
+def _draw_pass(
+    rng: np.random.Generator, noise_cdf: np.ndarray, stream: np.ndarray, window: int,
+    negative: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every random draw of one pass over ``stream``: each position's window
+    reduction (in ``[0, window)``) and its ``(1 + negative)`` output words.
+
+    Column 0 of the word block is the position's target (label 1), the rest
+    are noise words (label 0) drawn from ``noise_cdf``; a noise word equal to
+    its row's target is drawn again. A one-word vocabulary has no noise word,
+    so its block has the target column only.
+    """
+    reduced = rng.integers(window, size=len(stream))
     if len(noise_cdf) == 1:
-        # Single-token vocabulary: no valid noise word exists.
-        return word_indices
-    while len(word_indices) < negative + 1:
-        w = int(np.searchsorted(noise_cdf, rng.random(), side="right"))
-        if w != target:
-            word_indices.append(w)
-    return word_indices
+        negative = 0
+    words = np.empty((len(stream), 1 + negative), dtype=np.intp)
+    words[:, 0] = stream
+    noise = words[:, 1:]
+    noise[...] = noise_cdf.searchsorted(rng.random(noise.shape), side="right")
+    clash = noise == words[:, :1]
+    while clash.any():
+        noise[clash] = noise_cdf.searchsorted(rng.random(np.count_nonzero(clash)), side="right")
+        clash = noise == words[:, :1]
+    return reduced, words
 
 
-def _train_pair(
+def _window_bounds(reduced: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each position's span ``[start, end)``: its reduced window, clipped to
+    the document. The position itself lies inside and is not context."""
+    pos = np.arange(len(reduced))
+    half = window - reduced
+    return np.maximum(pos - half, 0), np.minimum(pos + half + 1, len(reduced))
+
+
+def _labels(n_words: int) -> np.ndarray:
+    labels = np.zeros(n_words)
+    labels[0] = 1.0
+    return labels
+
+
+def _train_doc(
     model: EmbeddingModel,
-    rng: np.random.Generator,
-    labels: np.ndarray,
     doc_vec: np.ndarray,
-    context: np.ndarray,
-    target: int,
-    alpha: float,
-    learn_words: bool,
-) -> np.ndarray:
-    """One prediction step; returns the input-side error to apply."""
-    l1 = (doc_vec + model.word_vectors[context].sum(axis=0)) / (1 + len(context))
-    word_indices = _draw_negatives(rng, model.noise_cdf, target, model.params.negative)
-    l2 = model.output_weights[word_indices]  # fancy indexing copies: pre-update weights
-    f = _sigmoid(l2 @ l1)
-    g = (labels[: len(word_indices)] - f) * alpha
-    if learn_words:
-        model.output_weights[word_indices] += np.outer(g, l1)
-    return g @ l2
-
-
-def _one_pass(
-    model: EmbeddingModel,
-    rng: np.random.Generator,
-    streams_idx: list[np.ndarray],
+    stream: np.ndarray,
+    reduced: np.ndarray,
+    words: np.ndarray,
     alpha: float,
 ) -> None:
-    window = model.params.window
-    labels = np.zeros(model.params.negative + 1)
-    labels[0] = 1.0
-    for d, stream in enumerate(streams_idx):
-        doc_vec = model.doc_vectors[d]
-        for pos in range(len(stream)):
-            reduced = int(rng.integers(window))
-            start = max(0, pos - window + reduced)
-            end = pos + window + 1 - reduced
-            context = np.concatenate([stream[start:pos], stream[pos + 1 : end]])
-            neu1e = _train_pair(
-                model, rng, labels, doc_vec, context, int(stream[pos]), alpha, learn_words=True
-            )
-            doc_vec += neu1e
-            np.add.at(model.word_vectors, context, neu1e)
+    """One training pass over a document with pre-drawn ``reduced`` windows
+    and ``words`` blocks (see ``_draw_pass``). Position by position: predict
+    the target from the mean of ``doc_vec`` and the context's word vectors,
+    step the output rows of the target and noise words, then apply the
+    input-side error to ``doc_vec`` and to every context word."""
+    start, end = _window_bounds(reduced, model.params.window)
+    # Every context of the pass, concatenated: position p's span without p
+    # itself is contexts[bounds[p]:bounds[p + 1]].
+    span = end - start
+    first = np.cumsum(span) - span  # where each span starts in the flat array
+    flat = np.arange(span.sum()) + np.repeat(start - first, span)  # stream positions
+    contexts = stream[flat[flat != np.repeat(np.arange(len(stream)), span)]]
+    bounds = np.concatenate([[0], np.cumsum(span - 1)]).tolist()
+    word_vectors = model.word_vectors
+    output_weights = model.output_weights
+    labels = _labels(words.shape[1])
+    for w, lo, hi in zip(words, bounds, bounds[1:]):
+        context = contexts[lo:hi]
+        l1 = (doc_vec + np.add.reduce(word_vectors.take(context, axis=0))) / (1 + hi - lo)
+        l2 = output_weights.take(w, axis=0)  # a copy: the pre-update weights
+        g = (labels - _sigmoid(l2.dot(l1))) * alpha
+        # A word drawn twice gets one step, as from `output_weights[w] += ...`.
+        output_weights[w] = l2 + g[:, None] * l1
+        neu1e = g.dot(l2)
+        doc_vec += neu1e
+        np.add.at(word_vectors, context, neu1e)
+
+
+def _infer_pass(
+    model: EmbeddingModel,
+    doc_vec: np.ndarray,
+    prefix: np.ndarray,
+    reduced: np.ndarray,
+    words: np.ndarray,
+    alpha: float,
+) -> None:
+    """One inference pass over a document: ``_train_doc``'s step with word
+    and output weights frozen, so only ``doc_vec`` changes.
+
+    ``prefix`` holds the prefix sums of the document's word vectors, so a
+    context's word sum ``ctx`` is two rows of it minus the target's vector.
+    With ``l1 = (doc_vec + ctx) / span`` and ``m = l2 / span``, the score
+    ``l2 @ l1`` is ``m @ doc_vec + m @ ctx``, and the update ``g @ l2`` is
+    ``(g * span) @ m``. ``m @ ctx`` does not depend on ``doc_vec``, so it is
+    taken for a block of positions at once.
+    """
+    start, end = _window_bounds(reduced, model.params.window)
+    labels = _labels(words.shape[1])
+    for lo in range(0, len(words), _INFER_BLOCK):
+        block = words[lo : lo + _INFER_BLOCK]
+        b_start, b_end = start[lo : lo + _INFER_BLOCK], end[lo : lo + _INFER_BLOCK]
+        ctx = prefix[b_end] - prefix[b_start] - model.word_vectors[block[:, 0]]
+        span = (b_end - b_start).astype(np.float64)
+        ms = model.output_weights[block]
+        ms /= span[:, None, None]
+        scores = np.matmul(ms, ctx[:, :, None])[:, :, 0]
+        for m, c, step in zip(ms, scores, (alpha * span).tolist()):
+            doc_vec += ((labels - _sigmoid(m.dot(doc_vec) + c)) * step).dot(m)
 
 
 def train_embedding(streams: list[list[str]], params: EmbeddingParams) -> EmbeddingModel:
@@ -162,7 +237,11 @@ def train_embedding(streams: list[list[str]], params: EmbeddingParams) -> Embedd
     for epoch in range(params.epochs):
         alpha = max(params.min_alpha, params.initial_alpha - epoch * params.alpha_decay_per_epoch)
         for _ in range(params.iters_per_epoch):
-            _one_pass(model, rng, streams_idx, alpha)
+            for d, stream in enumerate(streams_idx):
+                reduced, words = _draw_pass(
+                    rng, model.noise_cdf, stream, params.window, params.negative
+                )
+                _train_doc(model, model.doc_vectors[d], stream, reduced, words, alpha)
     return model
 
 
@@ -173,56 +252,12 @@ def infer_doc_vector(
     params = model.params
     rng = np.random.default_rng([params.seed, _INFER_STREAM_KEY])
     doc_vec = (rng.random(params.size) - 0.5) / params.size
-    idx = np.array([model.vocabulary[t] for t in stream if t in model.vocabulary], dtype=np.intp)
+    idx = _index_streams([stream], model.vocabulary)[0]
     if len(idx) == 0:
         return doc_vec
-    labels = np.zeros(params.negative + 1)
-    labels[0] = 1.0
-    window = params.window
+    prefix = np.zeros((len(idx) + 1, params.size))
+    np.cumsum(model.word_vectors[idx], axis=0, out=prefix[1:])
     for _ in range(steps):
-        for pos in range(len(idx)):
-            reduced = int(rng.integers(window))
-            start = max(0, pos - window + reduced)
-            end = pos + window + 1 - reduced
-            context = np.concatenate([idx[start:pos], idx[pos + 1 : end]])
-            doc_vec += _train_pair(
-                model, rng, labels, doc_vec, context, int(idx[pos]), INFER_ALPHA, learn_words=False
-            )
+        reduced, words = _draw_pass(rng, model.noise_cdf, idx, params.window, params.negative)
+        _infer_pass(model, doc_vec, prefix, reduced, words, INFER_ALPHA)
     return doc_vec
-
-
-def negative_sampling_loss(
-    model: EmbeddingModel, streams: list[list[str]], seed: int = 0
-) -> float:
-    """Mean negative-sampling objective over all (document, position) pairs.
-
-    Noise draws come from a fresh generator, so two models sharing a
-    vocabulary (e.g. before and after training) are scored against the
-    identical sample of windows and negatives.
-    """
-    rng = np.random.default_rng([seed, 2])
-    streams_idx = _index_streams(streams, model.vocabulary)
-    window = model.params.window
-    labels = np.zeros(model.params.negative + 1)
-    labels[0] = 1.0
-    total = 0.0
-    n_pairs = 0
-    for d, stream in enumerate(streams_idx):
-        doc_vec = model.doc_vectors[d]
-        for pos in range(len(stream)):
-            reduced = int(rng.integers(window))
-            start = max(0, pos - window + reduced)
-            end = pos + window + 1 - reduced
-            context = np.concatenate([stream[start:pos], stream[pos + 1 : end]])
-            l1 = (doc_vec + model.word_vectors[context].sum(axis=0)) / (1 + len(context))
-            word_indices = _draw_negatives(
-                rng, model.noise_cdf, int(stream[pos]), model.params.negative
-            )
-            f = _sigmoid(model.output_weights[word_indices] @ l1)
-            # -log sigma(s_pos) - sum log sigma(-s_neg), via label algebra
-            p = np.where(labels[: len(word_indices)] > 0, f, 1.0 - f)
-            total += -np.log(np.clip(p, 1e-12, None)).sum()
-            n_pairs += 1
-    if n_pairs == 0:
-        return 0.0
-    return total / n_pairs

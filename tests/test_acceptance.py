@@ -409,7 +409,9 @@ def test_11_overlap_corpus_scores_stay_in_measured_bands(overlap_scores):
     p = 1.0 / s["n_classes"]
     band = 3.0 * math.sqrt(p * (1.0 - p) / s["n_docs"])
     if abs(s["math_id_tfidf"] - p) > band:
-        failures.append(f"math_id_tfidf accuracy {s['math_id_tfidf']:.4f} outside {p:.4f}±{band:.4f}")
+        failures.append(
+            f"math_id_tfidf accuracy {s['math_id_tfidf']:.4f} outside {p:.4f}±{band:.4f}"
+        )
     announce(
         11,
         "overlap corpus scores inside measured bands",

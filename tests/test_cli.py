@@ -1,6 +1,7 @@
 """Experiment configs, the grid driver, and the command-line interface."""
 import csv
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -104,6 +105,13 @@ class TestConfigValidation:
             ({"embedding_params": {"epochs": 2.0}}, "embedding_params: .*epochs"),
             ({"embedding_params": {"seed": "x"}}, "embedding_params: .*seed"),
             ({"embedding_params": {"negative": -1}}, "embedding_params: .*negative"),
+            ({"embedding_params": {"initial_alpha": math.nan}}, "embedding_params: .*initial_alpha"),
+            ({"embedding_params": {"initial_alpha": math.inf}}, "embedding_params: .*initial_alpha"),
+            ({"embedding_params": {"initial_alpha": "0.1"}}, "embedding_params: .*initial_alpha"),
+            ({"embedding_params": {"min_alpha": -1.0}}, "embedding_params: .*min_alpha"),
+            ({"embedding_params": {"min_alpha": math.nan}}, "embedding_params: .*min_alpha"),
+            ({"embedding_params": {"alpha_decay_per_epoch": -5.0}},
+             "embedding_params: .*alpha_decay_per_epoch"),
             ({"classifiers": "knn"}, "classifiers: must be a list"),
             ({"classifiers": 5}, "classifiers: must be a list"),
             ({"clusterers": "kmeans"}, "clusterers: must be a list"),
@@ -831,6 +839,7 @@ class TestExitCodes:
             {"classifiers": [{"algo": "mlp", "seed": "x"}]},
             {"clusterers": [{"algo": "kmeans", "k": 3, "pca_dims": 2.5}]},
             {"embedding_params": {"epochs": 2.0}},
+            {"embedding_params": {"min_alpha": -1.0}},
             {"classifiers": "knn"},
             {"output_dir": 5},
         ],
