@@ -33,8 +33,9 @@ PHYSICS_WORDS = [
 IDENTIFIERS = ["x", "y", "t", "n", "k", "E", "m", "f"]
 
 
-def main() -> None:
-    out_dir = Path(__file__).resolve().parents[1] / "src" / "textmath" / "data" / "mini_corpus"
+def write(out_dir: Path) -> Path:
+    """Write the demo corpus's markup and manifest under ``out_dir``; return
+    the manifest path."""
     corpus = generate_synthetic_corpus(
         n_classes=3,
         docs_per_class=20,
@@ -47,8 +48,12 @@ def main() -> None:
         class_vocabularies=[MATH_WORDS, CS_WORDS, PHYSICS_WORDS],
         identifier_pool=IDENTIFIERS,
     )
-    manifest = write_corpus_markup(corpus, out_dir, "html_math")
-    print(f"wrote {len(corpus.documents)} documents, manifest {manifest}")
+    return write_corpus_markup(corpus, out_dir, "html_math")
+
+
+def main() -> None:
+    out_dir = Path(__file__).resolve().parents[1] / "src" / "textmath" / "data" / "mini_corpus"
+    print(f"wrote the demo corpus, manifest {write(out_dir)}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,14 @@ Documents arrive as XML/HTML markup in which formulae live inside ``<math>``
 Operator and identifier symbols are the character data of ``<mo>`` and
 ``<mi>`` descendants. Everything outside the containers is natural-language
 text; each container is replaced by a single placeholder character so that
-formula offsets into the text stay stable.
+formula offsets into the text stay stable. The text between two formulas is
+NFC-normalised in one piece at parse, so ``raw_text`` is always NFC, and a
+formula's offset counts the normalised text.
+
+Each document is tokenised once, over its raw text: a token is a maximal run
+of word characters, so a formula (its placeholder is not a word character)
+ends a word. The surroundings of a formula are every whole word that
+overlaps its window.
 """
 from __future__ import annotations
 
@@ -41,7 +48,6 @@ FORMAT_CONTAINERS = {"html_math": "math", "tei_formula": "formula"}
 MIN_TOKEN_LEN = 3
 
 _TOKEN_RE = re.compile(r"\w+")
-_PLACEHOLDER_RE = re.compile(PLACEHOLDER)
 
 
 @lru_cache(maxsize=1)
@@ -92,14 +98,20 @@ class Document:
     # Token indexes of raw_text keyed by stopword set. Parsing and the loaders
     # build the default set's index; extract_surroundings builds any other on
     # first use. They live as long as the document does.
-    _token_indexes: dict[frozenset[str], _TokenIndex | None] = field(
+    _token_indexes: dict[frozenset[str], _TokenIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
+        # Token spans index raw_text as it is, so it must already be NFC.
+        if not unicodedata.is_normalized("NFC", self.raw_text):
+            raise ValueError("raw_text is not NFC-normalised")
         # An offset may equal len(raw_text): a formula at the very end.
         n = len(self.raw_text)
         for f in self.formulas:
+            # check_int's ABC isinstance test costs about 1 us; a plain int skips it.
+            if type(f.offset) is not int:
+                check_int("formula offset", f.offset, 0)
             if not 0 <= f.offset <= n:
                 raise ValueError(f"formula offset {f.offset} outside the text [0, {n}]")
 
@@ -204,9 +216,10 @@ def _parse_markup(raw_markup: str, id: str) -> ET.Element:
 def parse_document(raw_markup: str, format: str, id: str, label: str) -> Document:
     """Parse one markup document into a :class:`Document`.
 
-    The placeholder-stripped text is tokenised once: when it is NFC, that
-    one pass gives both ``text_tokens`` and the document's token index under
-    the default stopword set, which ``extract_surroundings`` then reads.
+    The text between two formulas is NFC-normalised in one piece, so
+    ``raw_text`` is NFC. It is tokenised once: that one pass gives both
+    ``text_tokens`` and the document's token index under the default
+    stopword set, which ``extract_surroundings`` then reads.
 
     Raises :class:`MalformedMarkupError` for unbalanced/invalid markup and
     :class:`UnknownFormatError` for an unrecognized format name.
@@ -222,19 +235,24 @@ def _parse_document(
         raise UnknownFormatError(f"unknown document format {format!r}")
 
     root = _parse_markup(raw_markup, id)
-    parts: list[str] = []
+    # NFC never composes across the placeholder (a starter with no
+    # compositions), so normalising each segment normalises the whole text.
+    segments: list[str] = []  # NFC text between formulas
+    pending: list[str] = []  # character data since the last formula
     formulas: list[Formula] = []
     pos = 0
 
-    def emit(s: str) -> None:
-        nonlocal pos
-        parts.append(s)
-        pos += len(s)
+    def end_segment() -> None:
+        segments.append(unicodedata.normalize("NFC", "".join(pending)))
+        pending.clear()
 
     def visit(elem: ET.Element) -> None:
+        nonlocal pos
         if _local_name(elem.tag) == container:
             symbols: list[tuple[str, str]] = []
             _collect_symbols(elem, symbols)
+            end_segment()
+            pos += len(segments[-1])
             formulas.append(
                 Formula(
                     operators=[t for k, t in symbols if k == "o"],
@@ -243,51 +261,40 @@ def _parse_document(
                     order="".join(k for k, _ in symbols),
                 )
             )
-            emit(PLACEHOLDER)
+            pos += 1
             return
         if elem.text:
-            emit(elem.text)
+            pending.append(elem.text)
         for child in elem:
             visit(child)
             if child.tail:
-                emit(child.tail)
+                pending.append(child.tail)
 
     visit(root)
-    raw_text = "".join(parts)
-    index = _build_index(raw_text, cleaner)
-    if index is None:
-        text_tokens = cleaner.text(raw_text.replace(PLACEHOLDER, ""))
-    else:
-        text_tokens = list(index.kept)
+    end_segment()
+    raw_text = PLACEHOLDER.join(segments)
+    index = _TokenIndex(raw_text, cleaner)
     doc = Document(
-        id=id, label=label, raw_text=raw_text, text_tokens=text_tokens, formulas=formulas
+        id=id, label=label, raw_text=raw_text, text_tokens=list(index.kept), formulas=formulas
     )
     doc._token_indexes[cleaner.stopwords] = index
     return doc
 
 
 class _TokenIndex:
-    """One tokenisation of a document's placeholder-stripped text.
+    """One tokenisation of a document's raw text, for one stopword set.
 
-    ``raw[lo:hi].replace(PLACEHOLDER, "")`` equals ``stripped[a:b]`` with
-    ``a, b = self.stripped_offset(lo), self.stripped_offset(hi)``. The word
-    tokens of that window are then the whole tokens of the document that lie
-    inside it, plus the inside parts of at most two tokens cut by its edges;
-    those parts go through the same cleaner as the whole tokens. ``kept``
-    equals ``clean_text(stripped, cleaner.stopwords)``. Only valid for NFC
-    text: substrings of NFC text are NFC, so cleaning a window never
-    re-normalizes it.
+    ``starts`` and ``ends`` are the raw-text spans of every token, a maximal
+    run of word characters; ``kept`` holds the tokens that cleaning keeps, in
+    order, so it equals ``clean_text(raw_text, stopwords)`` for NFC text.
     """
 
-    def __init__(self, stripped: str, placeholders: list[int], cleaner: _Cleaner) -> None:
-        self.stripped = stripped
-        self.placeholders = placeholders  # raw offsets of PLACEHOLDER, ascending
-        self.cleaner = cleaner
+    def __init__(self, raw_text: str, cleaner: _Cleaner) -> None:
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.kept: list[str] = []  # the tokens cleaning keeps, in order
         self.kept_before: list[int] = [0]  # kept tokens among the first i tokens
-        for match in _TOKEN_RE.finditer(stripped):
+        for match in _TOKEN_RE.finditer(raw_text):
             self.starts.append(match.start())
             self.ends.append(match.end())
             tok = cleaner[match.group()]
@@ -295,41 +302,18 @@ class _TokenIndex:
                 self.kept.append(tok)
             self.kept_before.append(len(self.kept))
 
-    def stripped_offset(self, raw_offset: int) -> int:
-        return raw_offset - bisect_left(self.placeholders, raw_offset)
-
     def window(self, lo: int, hi: int) -> list[str]:
-        """``clean_text(raw[lo:hi].replace(PLACEHOLDER, ""), stopwords)`` for
-        ``0 <= lo <= hi <= len(raw)``, with the cleaner's stopwords."""
-        a, b = self.stripped_offset(lo), self.stripped_offset(hi)
-        first = bisect_left(self.starts, a)  # first token starting inside
-        stop = bisect_right(self.ends, b)  # one past the last token ending inside
-        if first >= stop:
-            return self.cleaner.text(self.stripped[a:b])
-        out = []
-        if a < self.starts[first]:
-            out += self.cleaner.text(self.stripped[a : self.starts[first]])
-        out += self.kept[self.kept_before[first] : self.kept_before[stop]]
-        if self.ends[stop - 1] < b:
-            out += self.cleaner.text(self.stripped[self.ends[stop - 1] : b])
-        return out
+        """The kept tokens that overlap ``raw_text[lo:hi]``, whole, in order."""
+        first = bisect_right(self.ends, lo)  # tokens ending at or before lo
+        stop = bisect_left(self.starts, hi)  # tokens starting before hi
+        return self.kept[self.kept_before[first] : self.kept_before[stop]]
 
 
-def _build_index(raw_text: str, cleaner: _Cleaner) -> _TokenIndex | None:
-    """The token index of ``raw_text`` for ``cleaner``; None when its
-    stripped text is not NFC."""
-    stripped = raw_text.replace(PLACEHOLDER, "")
-    if not unicodedata.is_normalized("NFC", stripped):
-        return None
-    placeholders = [m.start() for m in _PLACEHOLDER_RE.finditer(raw_text)]
-    return _TokenIndex(stripped, placeholders, cleaner)
-
-
-def _token_index(doc: Document, stopwords: frozenset[str]) -> _TokenIndex | None:
+def _token_index(doc: Document, stopwords: frozenset[str]) -> _TokenIndex:
     """The document's token index for ``stopwords``, built on first use
-    unless loading built it; None when its stripped text is not NFC."""
+    unless loading built it."""
     if stopwords not in doc._token_indexes:
-        doc._token_indexes[stopwords] = _build_index(doc.raw_text, _Cleaner(stopwords))
+        doc._token_indexes[stopwords] = _TokenIndex(doc.raw_text, _Cleaner(stopwords))
     return doc._token_indexes[stopwords]
 
 
@@ -340,16 +324,17 @@ def extract_surroundings(
 ) -> list[str]:
     """Token bag from the text neighborhoods of identifier occurrences.
 
-    For every formula that contains at least one identifier, the substring of
+    For every formula that contains at least one identifier, the window of
     ``raw_text`` within ``window`` characters on each side of the formula's
-    placeholder is cleaned and the per-formula token lists are concatenated
+    placeholder is taken, and the per-formula token lists are concatenated
     in document order. The window is counted in raw-text characters, in
-    which each formula is one character. A word cut by the window edge
-    contributes only its part inside the window, and words inside the
-    windows of several formulas are repeated once per window.
+    which each formula is one character. A window holds every whole word
+    that overlaps it, cleaned as ``clean_text`` cleans it; a formula ends a
+    word, and every token is one of the document's text tokens under the
+    same stopwords. Words inside the windows of several formulas are
+    repeated once per window.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
+    check_int("window", window, 1)
     stopwords = default_stopwords() if stopwords is None else frozenset(stopwords)
     index = _token_index(doc, stopwords)
     n = len(doc.raw_text)
@@ -359,10 +344,7 @@ def extract_surroundings(
             continue
         lo = max(0, formula.offset - window)
         hi = min(n, formula.offset + window + 1)
-        if index is None:
-            out.extend(clean_text(doc.raw_text[lo:hi].replace(PLACEHOLDER, ""), stopwords))
-        else:
-            out.extend(index.window(lo, hi))
+        out.extend(index.window(lo, hi))
     return out
 
 
@@ -468,6 +450,23 @@ def dump_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _json_str(obj: dict, key: str, default: str | None = None) -> str:
+    """``obj[key]``, or ``default`` when given and the key is absent; a
+    ``TypeError`` unless it is a string."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} is a JSON {type(value).__name__}, not a string")
+    return value
+
+
+def _json_strs(obj: dict, key: str) -> list[str]:
+    """``obj[key]``; a ``TypeError`` unless it is a list of strings."""
+    value = obj[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{key} is not a JSON list of strings")
+    return value
+
+
 def load_corpus_jsonl(path: str | Path, label_set: list[str] | None = None) -> Corpus:
     """Reload a canonical JSONL dump.
 
@@ -491,20 +490,17 @@ def load_corpus_jsonl(path: str | Path, label_set: list[str] | None = None) -> C
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise TypeError(f"record is a JSON {type(rec).__name__}, not an object")
-            raw_text = rec.get("raw_text", "")
-            if not isinstance(raw_text, str):
-                raise TypeError(f"raw_text is a JSON {type(raw_text).__name__}, not a string")
             doc = Document(
-                id=rec["id"],
-                label=rec["label"],
-                raw_text=rec["raw_text"],
-                text_tokens=list(rec["text_tokens"]),
+                id=_json_str(rec, "id"),
+                label=_json_str(rec, "label"),
+                raw_text=_json_str(rec, "raw_text"),
+                text_tokens=_json_strs(rec, "text_tokens"),
                 formulas=[
                     Formula(
-                        operators=list(f["operators"]),
-                        identifiers=list(f["identifiers"]),
+                        operators=_json_strs(f, "operators"),
+                        identifiers=_json_strs(f, "identifiers"),
                         offset=f["offset"],
-                        order=f.get("order", ""),
+                        order=_json_str(f, "order", ""),
                     )
                     for f in rec["formulas"]
                 ],
@@ -515,7 +511,7 @@ def load_corpus_jsonl(path: str | Path, label_set: list[str] | None = None) -> C
                 where += f": document {rec['id']!r}"
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise MalformedRecordError(f"{where}: {reason}") from exc
-        doc._token_indexes[cleaner.stopwords] = _build_index(doc.raw_text, cleaner)
+        doc._token_indexes[cleaner.stopwords] = _TokenIndex(doc.raw_text, cleaner)
         documents.append(doc)
     if label_set is None:
         label_set = sorted({d.label for d in documents})

@@ -163,7 +163,7 @@ def generate_synthetic_corpus(
                     id=f"{label}-{j:03d}",
                     label=label,
                     raw_text=raw_text,
-                    text_tokens=cleaner.text(raw_text.replace(PLACEHOLDER, "")),
+                    text_tokens=cleaner.text(raw_text),
                     formulas=formulas,
                 )
             )

@@ -1,5 +1,6 @@
 """Parsing, cleaning, surroundings extraction, and corpus ingestion."""
 import json
+import re
 import unicodedata
 from pathlib import Path
 
@@ -26,7 +27,10 @@ from textmath import (
     parse_document,
     token_stream,
 )
+from textmath import corpus as corpus_module
 from textmath.corpus import _token_index
+from textmath.encode import Channels, parse_encoding_name
+from textmath.synth import generate_synthetic_corpus, write_corpus_markup
 from tests.conftest import formula, make_doc
 
 MINI_MANIFEST = Path(textmath.__file__).parent / "data" / "mini_corpus" / "manifest.json"
@@ -164,11 +168,35 @@ class TestExtractSurroundings:
         doc = make_doc(raw_text="alpha beta gamma")
         assert extract_surroundings(doc) == []
 
+    @pytest.mark.parametrize(
+        "window,want",
+        [(1, []), (2, ["beta", "gamma"]), (6, ["beta", "gamma"]), (7, ["alpha", "beta", "gamma"])],
+    )
+    def test_window_takes_every_whole_word_it_overlaps(self, window, want):
+        # The window is raw[11 - window : 12 + window]. At window 1 "beta" ends
+        # at its start and "gamma" starts at its end, so neither overlaps it.
+        raw = f"alpha beta {PLACEHOLDER} gamma delta"
+        doc = make_doc(raw_text=raw, formulas=[formula(identifiers=["x"], offset=11)])
+        assert extract_surroundings(doc, window=window, stopwords=frozenset()) == want
+
     @pytest.mark.parametrize("offset", [-20, -1, len("alpha beta gamma") + 1])
     def test_offset_outside_text_rejected(self, offset):
         # a negative offset used to select text counted from the end
         with pytest.raises(ValueError, match="outside the text"):
             make_doc(raw_text="alpha beta gamma", formulas=[formula(identifiers=["x"], offset=offset)])
+
+    @pytest.mark.parametrize("offset", [10.5, 11.0, True, "3", None])
+    def test_offset_not_an_integer_rejected(self, offset):
+        bad = [formula(identifiers=["x"], offset=offset)]
+        with pytest.raises(ValueError, match="formula offset must be an integer >= 0"):
+            make_doc(raw_text="alpha beta gamma", formulas=bad)
+
+    @pytest.mark.parametrize("window", [0, -5, 6.5, True, "6"])
+    def test_window_not_a_positive_integer_rejected(self, window):
+        raw = f"alpha beta {PLACEHOLDER} gamma"
+        doc = make_doc(raw_text=raw, formulas=[formula(identifiers=["x"], offset=11)])
+        with pytest.raises(ValueError, match="window must be an integer >= 1"):
+            extract_surroundings(doc, window=window)
 
     def test_offset_at_text_end_accepted(self):
         raw = f"alpha beta {PLACEHOLDER}"
@@ -211,23 +239,31 @@ class TestExtractSurroundings:
         assert got == full * 2
 
 
+def _is_word(c):
+    return re.fullmatch(r"\w", c) is not None
+
+
 def reference_surroundings(doc, window=500, stopwords=None):
-    """extract_surroundings as one clean_text call per formula window."""
-    if stopwords is None:
-        stopwords = default_stopwords()
+    """extract_surroundings as one clean_text call per formula window, with
+    the window first widened outward to whole words."""
+    raw = doc.raw_text
     out: list[str] = []
     for formula in doc.formulas:
         if not formula.identifiers:
             continue
         lo = max(0, formula.offset - window)
-        hi = min(len(doc.raw_text), formula.offset + window + 1)
-        segment = doc.raw_text[lo:hi].replace(PLACEHOLDER, "")
-        out.extend(clean_text(segment, stopwords))
+        hi = min(len(raw), formula.offset + window + 1)
+        while 0 < lo < len(raw) and _is_word(raw[lo - 1]) and _is_word(raw[lo]):
+            lo -= 1
+        while 0 < hi < len(raw) and _is_word(raw[hi - 1]) and _is_word(raw[hi]):
+            hi += 1
+        out.extend(clean_text(raw[lo:hi], stopwords))
     return out
 
 
 # Words, digits, underscores, stopwords, placeholders, a lone combining mark
-# (non-NFC after a letter) and letters whose lowercase changes length.
+# (it composes with some letters before it) and letters whose lowercase
+# changes length.
 _PIECES = [
     "alpha", "Beta", "gamma", "ab", "x1", "var_2", "_", "7", "the", "and",
     "İstanbul", "straße", "café", "\u0301", " ", "  ", ", ", ".", PLACEHOLDER, PLACEHOLDER,
@@ -236,7 +272,8 @@ _PIECES = [
 
 @st.composite
 def surroundings_cases(draw):
-    raw = "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=40)))
+    pieces = draw(st.lists(st.sampled_from(_PIECES), max_size=40))
+    raw = unicodedata.normalize("NFC", "".join(pieces))
     placeholders = [i for i, c in enumerate(raw) if c == PLACEHOLDER]
     offsets = placeholders + draw(st.lists(st.integers(0, len(raw)), max_size=3))
     formulas = [
@@ -250,11 +287,7 @@ def surroundings_cases(draw):
     if any(g > 0 for g in gaps):
         windows = st.one_of(windows, st.sampled_from([g for g in gaps if g > 0]))
     stopwords = draw(st.sampled_from([None, frozenset(), frozenset({"alpha", "the", "and"})]))
-    doc = make_doc(
-        raw_text=raw,
-        text_tokens=clean_text(raw.replace(PLACEHOLDER, ""), stopwords),
-        formulas=formulas,
-    )
+    doc = make_doc(raw_text=raw, text_tokens=clean_text(raw, stopwords), formulas=formulas)
     return doc, draw(windows), stopwords
 
 
@@ -269,6 +302,7 @@ class TestSurroundingsIndex:
         want = reference_surroundings(doc, window, stopwords)
         assert extract_surroundings(doc, window, stopwords) == want
         assert extract_surroundings(doc, window, stopwords) == want
+        assert set(want) <= set(doc.text_tokens)
         assert token_stream(doc, "textmath_surroundings", window, stopwords) == (
             token_stream(doc, "text") + token_stream(doc, "math_surroundings", window, stopwords)
         )
@@ -288,17 +322,21 @@ class TestSurroundingsIndex:
         assert _token_index(doc, default_stopwords()) is index
         assert len(doc._token_indexes) == 2
 
-    def test_non_nfc_text_takes_the_reference_path(self):
-        raw = f"cafe\u0301 alpha {PLACEHOLDER} beta"
-        doc = make_doc(
-            raw_text=raw, formulas=[formula(identifiers=["x"], offset=raw.index(PLACEHOLDER))]
+    def test_decomposed_markup_text_is_composed_at_parse(self):
+        doc = parse_document(
+            "<p>cafe\u0301 alpha <math><mi>x</mi></math> beta</p>", "html_math", "d", "a"
         )
-        assert extract_surroundings(doc, window=len(raw), stopwords=frozenset()) == [
+        assert doc.raw_text == f"café alpha {PLACEHOLDER} beta"
+        assert doc.text_tokens == ["café", "alpha", "beta"]
+        assert extract_surroundings(doc, window=50, stopwords=frozenset()) == [
             "café",
             "alpha",
             "beta",
         ]
-        assert _token_index(doc, frozenset()) is None
+
+    def test_non_nfc_raw_text_rejected(self):
+        with pytest.raises(ValueError, match="NFC"):
+            make_doc(raw_text=f"cafe\u0301 alpha {PLACEHOLDER} beta")
 
     def test_index_leaves_dump_unchanged(self, tmp_path):
         markup = (
@@ -325,12 +363,15 @@ class TestSurroundingsIndex:
 
 # Markup text with digits, superscript digits, underscores, mixed case,
 # stopwords, short words, precomposed and decomposed accents (the latter is
-# not NFC) and formulas.
+# not NFC), a combining mark in its own element and formulas, one of them
+# followed by a combining mark.
 _MARKUP_PIECES = [
     "alpha", "Beta", "GAMMA", "ab", "x1", "x²", "var_2", "_", "7", "the", "And",
-    "café", "cafe\u0301", "İstanbul", "straße", " ", "  ", ", ", ".",
+    "café", "cafe\u0301", "e<b>\u0301</b>", "İstanbul", "straße", " ", "  ", ", ", ".",
     "<math><mi>x</mi><mo>=</mo></math>", "<math><mo>+</mo></math>",
+    "<math><mi>y</mi></math>\u0301",
 ]
+_TEXT_PIECES = [p for p in _MARKUP_PIECES if "<math>" not in p]
 
 
 class TestTokenisedOnce:
@@ -338,15 +379,14 @@ class TestTokenisedOnce:
     @given(st.lists(st.sampled_from(_MARKUP_PIECES), max_size=40), st.integers(1, 40))
     def test_parsed_tokens_equal_clean_text(self, pieces, window):
         doc = parse_document(f"<p>{''.join(pieces)}</p>", "html_math", id="d", label="a")
-        stripped = doc.raw_text.replace(PLACEHOLDER, "")
-        assert doc.text_tokens == clean_text(stripped)
-        index = doc._token_indexes[default_stopwords()]
-        assert (index is not None) == unicodedata.is_normalized("NFC", stripped)
+        assert unicodedata.is_normalized("NFC", doc.raw_text)
+        assert doc.text_tokens == clean_text(doc.raw_text)
+        assert [doc.raw_text[f.offset] for f in doc.formulas] == [PLACEHOLDER] * len(doc.formulas)
         assert extract_surroundings(doc, window) == reference_surroundings(doc, window)
 
     @pytest.mark.parametrize("stopwords", [None, frozenset(), frozenset({"alpha", "the", "and"})])
     def test_loaded_surroundings_match_reference(self, tmp_path, stopwords):
-        tricky = "".join(_MARKUP_PIECES[:-2]).replace("cafe\u0301", "")
+        tricky = "".join(_TEXT_PIECES)
         mp = write_corpus_files(
             tmp_path,
             [
@@ -362,6 +402,25 @@ class TestTokenisedOnce:
                     doc, window, stopwords
                 )
 
+    @pytest.mark.parametrize("source", ["mini", "cluster_full_shaped"])
+    def test_surroundings_columns_are_text_columns(self, tmp_path, source):
+        if source == "mini":
+            corpus = load_corpus(MINI_MANIFEST)
+        else:
+            generated = generate_synthetic_corpus(
+                n_classes=14, docs_per_class=25, vocab_per_class=30, shared_identifiers=12,
+                seed=1, tokens_per_doc=(150, 300), formulas_per_doc=(3, 8),
+            )
+            corpus = load_corpus(write_corpus_markup(generated, tmp_path))
+        channels = Channels(corpus.documents)
+        text = channels.source(parse_encoding_name("text_tfidf")).names
+        surroundings = channels.source(parse_encoding_name("math_surroundings_tfidf")).names
+        assert surroundings and set(surroundings) <= set(text)
+        for stopwords in (None, frozenset()):
+            for doc in corpus.documents:
+                tokens = set(token_stream(doc, "text", stopwords=stopwords))
+                assert set(extract_surroundings(doc, stopwords=stopwords)) <= tokens
+
     def test_text_tokens_do_not_alias_the_index(self):
         doc = parse_document(
             "<p>Let <math><mi>x</mi></math> hold for every operator</p>", "html_math", "d", "a"
@@ -370,17 +429,24 @@ class TestTokenisedOnce:
         doc.text_tokens.clear()
         assert extract_surroundings(doc) == want != []
 
-    def test_one_memo_per_load(self, tmp_path):
-        def memos(corpus):
-            return {id(d._token_indexes[default_stopwords()].cleaner) for d in corpus.documents}
+    def test_one_memo_per_load(self, tmp_path, monkeypatch):
+        made = []
 
+        class CountedCleaner(corpus_module._Cleaner):
+            def __init__(self, stopwords):
+                super().__init__(stopwords)
+                made.append(self)
+
+        monkeypatch.setattr(corpus_module, "_Cleaner", CountedCleaner)
         first, second = load_corpus(MINI_MANIFEST), load_corpus(MINI_MANIFEST)
-        assert len(memos(first)) == len(memos(second)) == 1
-        assert memos(first).isdisjoint(memos(second))
+        assert len(made) == 2
         path = tmp_path / "dump.jsonl"
         dump_corpus_jsonl(first, path)
         reloaded = load_corpus_jsonl(path)
-        assert len(memos(reloaded)) == 1 and memos(reloaded).isdisjoint(memos(first))
+        assert len(made) == 3
+        for doc in first.documents + second.documents + reloaded.documents:
+            extract_surroundings(doc)
+        assert len(made) == 3
         assert reloaded.documents == first.documents
 
 
@@ -524,6 +590,53 @@ class TestJsonlRoundTrip:
         path.write_text(f"{first}\n{line}\n", "utf-8")
         with pytest.raises(MalformedRecordError, match=match):
             load_corpus_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [
+            ("id", 5, "id is a JSON int, not a string"),
+            ("label", ["a"], "label is a JSON list, not a string"),
+            ("raw_text", f"cafe\u0301 {PLACEHOLDER}", "raw_text is not NFC-normalised"),
+            ("text_tokens", "alpha beta", "text_tokens is not a JSON list of strings"),
+            ("text_tokens", ["alpha", 2], "text_tokens is not a JSON list of strings"),
+            ("operators", "+-", "operators is not a JSON list of strings"),
+            ("identifiers", [["x"]], "identifiers is not a JSON list of strings"),
+            ("order", 1, "order is a JSON int, not a string"),
+            ("offset", 10.5, "formula offset must be an integer >= 0, got 10.5"),
+            ("offset", 11.0, "formula offset must be an integer >= 0, got 11.0"),
+            ("offset", True, "formula offset must be an integer >= 0, got True"),
+        ],
+        ids=[
+            "id-int", "label-list", "raw-text-not-nfc", "text-tokens-string",
+            "text-tokens-int-item", "operators-string", "identifiers-nested", "order-int",
+            "offset-fraction", "offset-whole-float", "offset-bool",
+        ],
+    )
+    def test_field_of_the_wrong_type_names_file_line_and_id(
+        self, tmp_path, capsys, key, value, reason
+    ):
+        from textmath.cli import main
+
+        raw = f"alpha beta {PLACEHOLDER}"
+        good = {
+            "id": "ok", "label": "a", "raw_text": raw, "text_tokens": ["alpha", "beta"],
+            "formulas": [{"operators": ["+"], "identifiers": ["x"], "offset": 11, "order": "oi"}],
+        }
+        bad = json.loads(json.dumps(good))
+        bad["id"] = "bad-doc"
+        if key in bad:
+            bad[key] = value
+        else:
+            bad["formulas"][0][key] = value
+        path = tmp_path / "dump.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
+        match = rf"dump\.jsonl:2: document {re.escape(repr(bad['id']))}: {re.escape(reason)}"
+        with pytest.raises(MalformedRecordError, match=match):
+            load_corpus_jsonl(path)
+        code = main(["encode", str(path), "--encoding", "math_surroundings_tfidf",
+                     "--output", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "dump.jsonl:2" in capsys.readouterr().err
 
     def test_cli_exits_2_on_a_line_that_is_not_json(self, tmp_path, capsys):
         from textmath.cli import main

@@ -1,8 +1,11 @@
 """Synthetic corpus generation and markup round trips."""
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import textmath
 from textmath import (
     Lexicon,
     generate_synthetic_corpus,
@@ -199,6 +202,18 @@ class TestMarkupRoundTrip:
         assert [e["id"] for e in data["entries"]] == corpus.ids
         for entry in data["entries"]:
             assert (tmp_path / entry["path"]).exists()
+
+    def test_bundled_mini_corpus_matches_its_generator(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_mini_corpus.py"
+        spec = importlib.util.spec_from_file_location("make_mini_corpus", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.write(tmp_path)
+        bundled = Path(textmath.__file__).parent / "data" / "mini_corpus"
+        names = sorted(p.name for p in bundled.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
 
 
 class TestClassLexicon:
