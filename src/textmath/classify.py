@@ -6,10 +6,15 @@ one-hidden-layer MLP, a CART decision tree, and a random forest. Every fit
 is deterministic for a fixed seed, and every algorithm exposes per-class
 scores; prediction takes the highest.
 
-A tree node searches all its candidate features in one batch of array
-operations. A fitted tree or forest is one table of node arrays
-(``Tree``), and prediction moves every (tree, row) pair down it together,
-one level per step.
+The MLP's Adam step updates its moments and parameters in place, in
+preallocated arrays, with the same floating-point operations in the same
+order as the textbook update. A forest grows all its trees in lockstep:
+at each step every tree pops the next node of its own depth-first stack
+and draws that node's features from its own generator, and one batched
+search covers every popped node; a decision tree is a forest of one. A
+fitted tree or forest is one table of node arrays (``Tree``), and
+prediction moves every (tree, row) pair down it together, one level per
+step.
 
 Tie policy: equal scores resolve by label_set order, equal distances by
 lower sample index, equal split gains by lower feature index then lower
@@ -148,7 +153,11 @@ def _scores_logreg(state: dict[str, Any], X: np.ndarray) -> np.ndarray:
 
 def svc_objective(w: np.ndarray, b: float, X: np.ndarray, s: np.ndarray, C: float) -> float:
     """Primal hinge objective 0.5·‖w‖² + C·Σ max(0, 1 − s·(Xw+b))."""
-    margins = 1.0 - s * (X @ w + b)
+    return _hinge_objective(w, 1.0 - s * (X @ w + b), C)
+
+
+def _hinge_objective(w: np.ndarray, margins: np.ndarray, C: float) -> float:
+    """``svc_objective`` from the margins ``1 − s·(Xw+b)``."""
     return float(0.5 * w @ w + C * np.clip(margins, 0.0, None).sum())
 
 
@@ -158,23 +167,28 @@ def _fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dic
     W = np.zeros((T.shape[1], d))
     b = np.zeros(T.shape[1])
     histories = []
+    sq = (X * X).sum()
     for ci in range(T.shape[1]):
         s = 2.0 * T[:, ci] - 1.0
         w = np.zeros(d)
         bc = 0.0
-        obj = svc_objective(w, bc, X, s, C)
+        # The margins of the current (w, bc): its active set and objective.
+        margins = 1.0 - s * (X @ w + bc)
+        obj = _hinge_objective(w, margins, C)
         history = [obj]
-        lr = 1.0 / (C * ((X * X).sum() + n) / n + 1.0)
+        lr = 1.0 / (C * (sq + n) / n + 1.0)
         for _ in range(params["max_epochs"]):
-            active = (1.0 - s * (X @ w + bc)) > 0
+            active = margins > 0
             grad_w = w - C * (s[active] @ X[active])
             grad_b = -C * s[active].sum()
             # Backtracking keeps the objective non-increasing even though
             # the hinge is only subdifferentiable.
-            trial_obj = svc_objective(w - lr * grad_w, bc - lr * grad_b, X, s, C)
+            trial_w = w - lr * grad_w
+            trial_b = bc - lr * grad_b
+            trial_margins = 1.0 - s * (X @ trial_w + trial_b)
+            trial_obj = _hinge_objective(trial_w, trial_margins, C)
             if trial_obj <= obj:
-                w -= lr * grad_w
-                bc -= lr * grad_b
+                w, bc, margins = trial_w, trial_b, trial_margins
                 improved = obj - trial_obj
                 obj = trial_obj
                 lr *= 1.1
@@ -240,22 +254,27 @@ def _mlp_forward(theta: np.ndarray, X: np.ndarray, h: int, c: int):
 
 
 def mlp_objective(
-    theta: np.ndarray, X: np.ndarray, T: np.ndarray, hidden: int
+    theta: np.ndarray, X: np.ndarray, T: np.ndarray, hidden: int, out: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy of a d→hidden(ReLU)→classes net."""
+    """Mean softmax cross-entropy of a d→hidden(ReLU)→classes net, and its
+    gradient, written into ``out`` (a new array when None; laid out as
+    ``theta``)."""
     n = X.shape[0]
     c = T.shape[1]
     W1, b1, W2, b2 = _unpack_mlp(theta, X.shape[1], hidden, c)
     A, P = _mlp_forward(theta, X, hidden, c)
     loss = float(-(T * np.log(np.clip(P, 1e-12, None))).sum() / n)
+    grad = np.empty_like(theta) if out is None else out
+    grad_W1, grad_b1, grad_W2, grad_b2 = _unpack_mlp(grad, X.shape[1], hidden, c)
     dZ = (P - T) / n
-    grad_W2 = dZ.T @ A
-    grad_b2 = dZ.sum(axis=0)
+    np.matmul(dZ.T, A, out=grad_W2)
+    dZ.sum(axis=0, out=grad_b2)
     dA = dZ @ W2
-    dA[A <= 0.0] = 0.0
-    grad_W1 = dA.T @ X
-    grad_b1 = dA.sum(axis=0)
-    grad = np.concatenate([grad_W1.ravel(), grad_b1, grad_W2.ravel(), grad_b2])
+    # Zero the gradient where the unit is off; + 0.0 turns -0.0 into 0.0.
+    dA *= A > 0.0
+    dA += 0.0
+    np.matmul(dA.T, X, out=grad_W1)
+    dA.sum(axis=0, out=grad_b1)
     return loss, grad
 
 
@@ -279,8 +298,12 @@ def _fit_mlp(
     h, c = params["hidden"], T.shape[1]
     rng = np.random.default_rng(seed)
     theta = _init_mlp(rng, d, h, c)
+    # Adam's moments, the gradient and two work arrays, updated in place.
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    num = np.empty_like(theta)
+    den = np.empty_like(theta)
     step, b1, b2 = params["step"], params["beta1"], params["beta2"]
     t = 0
     best_loss = math.inf
@@ -290,14 +313,25 @@ def _fit_mlp(
         epoch_loss = 0.0
         for start in range(0, n, params["batch_size"]):
             batch = order[start : start + params["batch_size"]]
-            loss, grad = mlp_objective(theta, X[batch], T[batch], h)
+            loss, _ = mlp_objective(theta, X[batch], T[batch], h, grad)
             epoch_loss += loss * len(batch)
             t += 1
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * grad * grad
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            theta -= step * m_hat / (np.sqrt(v_hat) + 1e-8)
+            # m = b1·m + (1−b1)·grad and v = b2·v + ((1−b2)·grad)·grad, then
+            # theta −= (step·(m/c1)) / (sqrt(v/c2) + 1e-8), in this order.
+            m *= b1
+            np.multiply(grad, 1 - b1, out=num)
+            m += num
+            v *= b2
+            np.multiply(grad, 1 - b2, out=num)
+            num *= grad
+            v += num
+            np.divide(m, 1 - b1**t, out=num)
+            num *= step
+            np.divide(v, 1 - b2**t, out=den)
+            np.sqrt(den, out=den)
+            den += 1e-8
+            num /= den
+            theta -= num
         epoch_loss /= n
         if best_loss - epoch_loss < params["tol"]:
             stall += 1
@@ -316,9 +350,10 @@ def _scores_mlp(state: dict[str, Any], X: np.ndarray, n_classes: int) -> np.ndar
 
 # --- CART decision tree -----------------------------------------------------
 
-# Largest (rows, features, classes) one-hot that one block of _best_split
-# builds; a wider node is searched in feature blocks, in feature order.
-_SPLIT_BLOCK = 1 << 20
+# Largest (nodes, rows, features, classes) one-hot that one block of
+# _best_splits builds: a larger search runs in blocks of nodes, and a node
+# wider than a block in blocks of features, in feature order.
+_SPLIT_BLOCK = 1 << 15
 
 
 class Tree(NamedTuple):
@@ -336,102 +371,170 @@ class Tree(NamedTuple):
     dist: np.ndarray
 
 
-def _best_split(
-    X: np.ndarray, y_idx: np.ndarray, rows: np.ndarray, n_classes: int, features: np.ndarray
-) -> tuple[int, float] | None:
-    """Lowest-weighted-Gini (feature, threshold) over all candidate features
-    at once; ties favor the earliest feature, then the lowest threshold.
-    None when every candidate is constant on ``rows``."""
-    n = len(rows)
-    y = y_idx[rows]
-    classes = np.arange(n_classes)
-    nl = np.arange(1, n)[:, None]  # rows left of each boundary
-    nr = n - nl
-    step = max(1, _SPLIT_BLOCK // (n * n_classes))
-    scores, thresholds = [], []
-    for start in range(0, len(features), step):
-        V = X[rows[:, None], features[start : start + step]]
-        cols = np.arange(V.shape[1])
-        order = V.argsort(axis=0, kind="stable")
-        SV = V[order, cols]
-        counts = (y[order][:, :, None] == classes).astype(np.float64).cumsum(axis=0)
-        left = counts[:-1]  # class counts left of each boundary
-        right = counts[-1] - left
-        # Counts are whole numbers, so these sums of squares are exact.
-        gini_l = 1.0 - np.einsum("bfc,bfc->bf", left, left) / nl**2
-        gini_r = 1.0 - np.einsum("bfc,bfc->bf", right, right) / nr**2
-        weighted = (nl * gini_l + nr * gini_r) / n
-        weighted[~(SV[:-1] < SV[1:])] = math.inf
-        pos = weighted.argmin(axis=0)
-        scores.append(weighted[pos, cols])
-        thresholds.append((SV[pos, cols] + SV[pos + 1, cols]) / 2.0)
-    score = np.concatenate(scores)
-    best = int(np.argmin(score))
-    if score[best] == math.inf:
-        return None
-    return int(features[best]), float(np.concatenate(thresholds)[best])
-
-
-def _grow_tree(
+def _best_splits(
     X: np.ndarray,
     y_idx: np.ndarray,
-    rows: np.ndarray,
-    n_classes: int,
-    rng: np.random.Generator | None,
-    max_features: int | None,
-) -> Tree:
-    """Grow a CART tree on ``rows`` depth first and store it as node arrays
-    (see ``Tree``), which ``class_scores`` reads by a vectorised descent.
+    rows: list[np.ndarray],
+    totals: np.ndarray,
+    features: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest-weighted-Gini (feature, threshold) of each node over its own
+    candidate features, all nodes at once: node i holds ``rows[i]`` (two
+    or more), has class counts ``totals[i]`` and searches ``features[i]``.
+    Ties favor the earliest feature, then the lowest threshold. A node
+    whose candidates are all constant on its rows gets feature -1.
 
-    Each impure node splits on ``max_features`` features that ``rng`` draws,
-    in preorder, or on every feature when ``max_features`` is None; if the
-    drawn features are all constant there, every feature is searched,
-    without a further draw."""
+    Each node's rows are padded with +inf after the real ones, so a stable
+    sort keeps the real rows first; boundaries with nothing real on their
+    right count as constant."""
+    n_nodes, n_features = features.shape
+    n_classes = totals.shape[1]
+    lengths = np.fromiter(map(len, rows), np.intp, n_nodes)
+    classes = np.arange(n_classes)
+    cells = int(lengths.max()) * n_classes
+    fstep = min(n_features, max(1, _SPLIT_BLOCK // cells))
+    bstep = max(1, _SPLIT_BLOCK // (cells * fstep))
+    scores = np.empty((n_nodes, n_features))
+    thresholds = np.empty((n_nodes, n_features))
+    for lo in range(0, n_nodes, bstep):
+        hi = min(lo + bstep, n_nodes)
+        n = lengths[lo:hi, None, None]
+        width = int(n.max())
+        real = np.arange(width) < n[:, 0]
+        padded = np.zeros(real.shape, dtype=np.intp)
+        padded[real] = np.concatenate(rows[lo:hi])
+        y = y_idx[padded]
+        nl = np.arange(1, width)[:, None]  # rows left of each boundary
+        nr = n - nl
+        nr_pos = np.maximum(nr, 1)  # nr where a boundary is real; no 0 / 0
+        real_boundary = nr > 0
+        total = totals[lo:hi, None, None, :]
+        node = np.arange(hi - lo)[:, None]
+        for start in range(0, n_features, fstep):
+            stop = min(start + fstep, n_features)
+            V = X[padded[:, :, None], features[lo:hi, None, start:stop]]
+            V[~real] = math.inf
+            order = V.argsort(axis=1, kind="stable")
+            cols = np.arange(stop - start)
+            SV = V[node[:, :, None], order, cols]
+            onehot = y[node[:, :, None], order][..., None] == classes
+            left = onehot.cumsum(axis=1, dtype=np.float64)[:, :-1]  # class counts
+            right = total - left
+            # Counts are whole numbers, so these sums of squares are exact.
+            gini_l = 1.0 - np.einsum("bkfc,bkfc->bkf", left, left) / nl**2
+            gini_r = 1.0 - np.einsum("bkfc,bkfc->bkf", right, right) / nr_pos**2
+            weighted = (nl * gini_l + nr_pos * gini_r) / n
+            weighted[~((SV[:, :-1] < SV[:, 1:]) & real_boundary)] = math.inf
+            pos = weighted.argmin(axis=1)
+            scores[lo:hi, start:stop] = weighted[node, pos, cols]
+            thresholds[lo:hi, start:stop] = (SV[node, pos, cols] + SV[node, pos + 1, cols]) / 2.0
+    every = np.arange(n_nodes)
+    best = scores.argmin(axis=1)
+    feature = features[every, best]
+    feature[scores[every, best] == math.inf] = -1
+    return feature, thresholds[every, best]
+
+
+def _grow_trees(
+    X: np.ndarray,
+    y_idx: np.ndarray,
+    rows: list[np.ndarray],
+    n_classes: int,
+    rngs: list[np.random.Generator] | None,
+    max_features: int | None,
+) -> list[Tree]:
+    """Grow one CART tree on each ``rows[i]`` depth first, all in lockstep,
+    and store each as node arrays (see ``Tree``), which ``class_scores``
+    reads by a vectorised descent.
+
+    At each step every unfinished tree pops the next node of its own
+    depth-first stack, and one ``_best_splits`` call searches all popped
+    impure nodes. Such a node splits on ``max_features`` features that its
+    tree's ``rngs[i]`` draws, in the tree's preorder, or on every feature
+    when ``max_features`` is None; if the drawn features are all constant
+    there, every feature is searched, without a further draw."""
     d = X.shape[1]
     subsample = max_features is not None and max_features < d
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    dist: list[np.ndarray] = []
-    stack = [(rows, left, -1)]  # (rows, parent's child list, parent)
-    while stack:
-        rows_, children, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            children[parent] = node
-        left.append(-1)
-        right.append(-1)
-        y = y_idx[rows_]
-        split = None
-        if not (y == y[0]).all():
+    every_feature = np.arange(d)
+    feature: list[list[int]] = [[] for _ in rows]
+    threshold: list[list[float]] = [[] for _ in rows]
+    left: list[list[int]] = [[] for _ in rows]
+    right: list[list[int]] = [[] for _ in rows]
+    dist: list[list[np.ndarray]] = [[] for _ in rows]
+    inner_dist = np.zeros(n_classes)
+    # (rows, parent's child list, parent) per tree
+    stacks = [[(r, left[t], -1)] for t, r in enumerate(rows)]
+    while True:
+        trees = [t for t, stack in enumerate(stacks) if stack]
+        if not trees:
+            break
+        node_rows, nodes = [], []
+        for t in trees:
+            rows_, children, parent = stacks[t].pop()
+            node = len(feature[t])
+            if parent >= 0:
+                children[parent] = node
+            feature[t].append(-1)
+            threshold[t].append(math.nan)
+            left[t].append(-1)
+            right[t].append(-1)
+            dist[t].append(inner_dist)
+            node_rows.append(rows_)
+            nodes.append(node)
+        lengths = np.fromiter(map(len, node_rows), np.intp, len(trees))
+        at = np.repeat(np.arange(len(trees)), lengths)  # each row's node
+        flat = np.concatenate(node_rows)
+        counts = np.bincount(
+            at * n_classes + y_idx[flat], minlength=len(trees) * n_classes
+        ).reshape(len(trees), n_classes)
+        dists = counts / lengths[:, None]
+        split_f = np.full(len(trees), -1, dtype=np.intp)
+        impure = np.flatnonzero(counts.max(axis=1) < lengths)
+        if impure.size:
+            search = [node_rows[i] for i in impure]
             if subsample:
-                features = np.sort(rng.choice(d, size=max_features, replace=False))
+                drawn = [rngs[trees[i]].choice(d, size=max_features, replace=False) for i in impure]
+                candidates = np.sort(drawn, axis=1)
             else:
-                features = np.arange(d)
-            split = _best_split(X, y_idx, rows_, n_classes, features)
-            if split is None and subsample:
-                split = _best_split(X, y_idx, rows_, n_classes, np.arange(d))
-        if split is None:
-            feature.append(-1)
-            threshold.append(math.nan)
-            counts = np.bincount(y, minlength=n_classes)
-            dist.append(counts / counts.sum())
-            continue
-        f, t = split
-        feature.append(f)
-        threshold.append(t)
-        dist.append(np.zeros(n_classes))
-        go_left = X[rows_, f] <= t
-        stack.append((rows_[~go_left], right, node))
-        stack.append((rows_[go_left], left, node))
-    return Tree(
-        np.array(feature, dtype=np.intp),
-        np.array(threshold),
-        np.array(left, dtype=np.intp),
-        np.array(right, dtype=np.intp),
-        np.array(dist),
-    )
+                candidates = np.broadcast_to(every_feature, (impure.size, d))
+            f, thr = _best_splits(X, y_idx, search, counts[impure], candidates)
+            retry = np.flatnonzero(f < 0) if subsample else ()
+            if len(retry):
+                f[retry], thr[retry] = _best_splits(
+                    X,
+                    y_idx,
+                    [search[i] for i in retry],
+                    counts[impure[retry]],
+                    np.broadcast_to(every_feature, (retry.size, d)),
+                )
+            split_f[impure] = f
+            split_t = np.full(len(trees), math.nan)
+            split_t[impure] = thr
+            # Each node's rows, left-going ones first, each side in its
+            # order (a leaf's NaN threshold sends all of its rows right).
+            go_left = X[flat, split_f[at]] <= split_t[at]
+            flat = flat[np.argsort(2 * at + ~go_left, kind="stable")]
+            first = np.cumsum(lengths) - lengths
+            mid = first + np.bincount(at[go_left], minlength=len(trees))
+        for i, t in enumerate(trees):
+            node = nodes[i]
+            if split_f[i] < 0:
+                dist[t][node] = dists[i]
+                continue
+            feature[t][node] = int(split_f[i])
+            threshold[t][node] = float(split_t[i])
+            stacks[t].append((flat[mid[i] : first[i] + lengths[i]], right[t], node))
+            stacks[t].append((flat[first[i] : mid[i]], left[t], node))
+    return [
+        Tree(
+            np.array(feature[t], dtype=np.intp),
+            np.array(threshold[t]),
+            np.array(left[t], dtype=np.intp),
+            np.array(right[t], dtype=np.intp),
+            np.array(dist[t]),
+        )
+        for t in range(len(rows))
+    ]
 
 
 def _join_trees(trees: list[Tree]) -> dict[str, Any]:
@@ -471,7 +574,7 @@ def _tree_scores(nodes: Tree, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 
 def _fit_dectree(X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> dict[str, Any]:
-    return _join_trees([_grow_tree(X, y_idx, np.arange(X.shape[0]), n_classes, None, None)])
+    return _join_trees(_grow_trees(X, y_idx, [np.arange(X.shape[0])], n_classes, None, None))
 
 
 def _fit_randforest(
@@ -482,12 +585,9 @@ def _fit_randforest(
         max_features = max(1, int(math.sqrt(d)))
     else:
         max_features = params["max_features"]
-    trees = []
-    for ss in np.random.SeedSequence(seed).spawn(params["n_trees"]):
-        rng = np.random.default_rng(ss)
-        rows = rng.integers(n, size=n) if params["bootstrap"] else np.arange(n)
-        trees.append(_grow_tree(X, y_idx, rows, n_classes, rng, max_features))
-    return _join_trees(trees)
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(params["n_trees"])]
+    rows = [rng.integers(n, size=n) if params["bootstrap"] else np.arange(n) for rng in rngs]
+    return _join_trees(_grow_trees(X, y_idx, rows, n_classes, rngs, max_features))
 
 
 # --- shared entry points -----------------------------------------------------

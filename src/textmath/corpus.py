@@ -364,12 +364,13 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus from a JSON manifest.
 
     Manifest schema: ``{"format", "label_set", "per_class_limit", "entries"}``
-    where each entry is ``{"path", "label", "id"}`` with paths relative to the
-    manifest file. When ``per_class_limit`` is set, the first N *parsable*
-    samples per class (in manifest order) are kept. Samples that fail to
-    parse are skipped with a warning; missing files are fatal. All
-    documents are cleaned through one memo, so each distinct word is cleaned
-    once per call.
+    where each entry is ``{"path", "label", "id"}``, three strings, with paths
+    relative to the manifest file; an entry of another shape is a
+    ``ManifestError`` naming its index. When ``per_class_limit`` is set, the
+    first N *parsable* samples per class (in manifest order) are kept.
+    Samples that fail to parse are skipped with a warning; missing files are
+    fatal. All documents are cleaned through one memo, so each distinct word
+    is cleaned once per call.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -398,6 +399,11 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not {"path", "label", "id"} <= set(entry):
             raise ManifestError(f"entry {i} must be an object with path/label/id")
+        try:
+            for key in ("path", "label", "id"):
+                _json_str(entry, key)
+        except TypeError as exc:
+            raise ManifestError(f"entry {i}: {exc}") from None
         label = entry["label"]
         if label not in known:
             raise ManifestError(f"entry {entry['id']!r} has label {label!r} outside label_set")

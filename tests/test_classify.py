@@ -1,6 +1,7 @@
 """Six classifiers: fixtures, gradient checks, and shared invariants."""
 import math
 import time
+from typing import Any
 from unittest import mock
 
 import numpy as np
@@ -432,7 +433,12 @@ class TestTreesAgainstReference:
 
     # 1: every candidate feature is searched in its own block, so the
     # earliest-feature tie rule must hold across blocks too.
-    @pytest.fixture(params=[classify._SPLIT_BLOCK, 1], ids=["one_block", "per_feature_blocks"])
+    # 1000: a step's search runs in blocks of a few nodes, and the
+    # all-feature fallback of a wide node in two blocks of features.
+    @pytest.fixture(
+        params=[classify._SPLIT_BLOCK, 1, 1000],
+        ids=["one_block", "per_feature_blocks", "node_and_feature_blocks"],
+    )
     def split_block(self, request):
         with mock.patch.object(classify, "_SPLIT_BLOCK", request.param):
             yield
@@ -488,8 +494,337 @@ class TestTreesAgainstReference:
         y_idx = rng.integers(0, 5, size=60)
         for seed in range(3):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            tree = classify._grow_tree(X, y_idx, np.arange(60), 5, rng_a, 5)
+            tree = classify._grow_trees(X, y_idx, [np.arange(60)], 5, [rng_a], 5)[0]
             nodes = ref_grow_tree(X, y_idx, np.arange(60), 5, rng_b, 5, [])
             assert len(tree.feature) == len(nodes)
             assert_same_tree(tree, nodes)
             assert rng_a.random() == rng_b.random()  # the same number of draws
+
+    def test_trees_of_uneven_size_grow_in_lockstep(self, split_block):
+        """One pure root, two deep trees and a small one share each step's
+        search; the two constant columns make single-feature draws fall back
+        to the full search."""
+        rng = np.random.default_rng(11)
+        n = 60
+        X = np.zeros((n, 4))
+        X[:, 0] = rng.permutation(n)
+        X[:, 1] = rng.integers(0, 4, size=n)
+        y_idx = np.where(np.arange(n) < 20, 0, 1 + np.arange(n) % 3)
+        rows = [
+            np.arange(20),  # one class: a single leaf
+            np.arange(n),
+            rng.integers(n, size=n),
+            np.array([0, 25, 26, 25]),
+        ]
+        rngs = [np.random.default_rng(seed) for seed in range(len(rows))]
+        trees = classify._grow_trees(X, y_idx, rows, 4, rngs, 1)
+        fallbacks = []
+        sizes = []
+        for seed, (tree, rows_, rng_) in enumerate(zip(trees, rows, rngs)):
+            ref_rng = np.random.default_rng(seed)
+            nodes = ref_grow_tree(X, y_idx, rows_, 4, ref_rng, 1, fallbacks)
+            assert len(tree.feature) == len(nodes)
+            assert_same_tree(tree, nodes)
+            assert rng_.random() == ref_rng.random()  # the same number of draws
+            sizes.append(len(nodes))
+        assert sizes[0] == 1 and min(sizes[1:3]) > 10 * sizes[3]
+        assert any(fallbacks)
+
+    @pytest.mark.parametrize("algo", ["dectree", "randforest"])
+    def test_all_constant_features_give_one_leaf(self, algo, split_block):
+        X = np.full((12, 5), 2.0)
+        y_idx = np.arange(12) % 3
+        labels = ["c0", "c1", "c2"]
+        params = {"n_trees": 4, "max_features": 1} if algo == "randforest" else {}
+        model = fit_classifier(ClassifierSpec(algo, params=params), X, [labels[i] for i in y_idx])
+        nodes = model.state["nodes"]
+        assert list(model.state["roots"]) == list(range(len(model.state["roots"])))
+        assert (nodes.feature == -1).all() and (nodes.left == -1).all()
+        if algo == "dectree":
+            assert np.array_equal(nodes.dist, [[1 / 3, 1 / 3, 1 / 3]])
+        else:
+            fallbacks = []
+            ref = ref_forest(X, y_idx, 3, {"bootstrap": True, **params}, 0, fallbacks)
+            for root, tree in zip(model.state["roots"], ref):
+                assert_same_tree(nodes, tree, root)
+            assert fallbacks == [False] * len(fallbacks) and fallbacks
+
+    def test_forest_searches_once_per_lockstep_step(self):
+        """A forest's trees share each step's search: there are no more
+        search calls than twice its largest tree's node count (a step may
+        also search its all-feature fallbacks)."""
+        X, y_idx = tree_data(12)
+        labels = [f"c{i}" for i in range(4)]
+        with mock.patch.object(classify, "_best_splits", wraps=classify._best_splits) as search:
+            model = fit_classifier(
+                ClassifierSpec("randforest", params={"n_trees": 12, "max_features": 1}),
+                X,
+                [labels[i] for i in y_idx],
+            )
+        sizes = np.diff([*model.state["roots"], len(model.state["nodes"].feature)])
+        assert sizes.sum() > 4 * sizes.max()
+        assert search.call_count <= 2 * sizes.max()
+
+    @pytest.mark.parametrize("block", [classify._SPLIT_BLOCK, 1, 50, 1000])
+    def test_batched_search_matches_per_node_search(self, block):
+        """Nodes of 2 to 40 rows (repeated rows too) and their own features
+        in one call equal one reference search per node."""
+        X, y_idx = tree_data(3, n=40)
+        rng = np.random.default_rng(5)
+        rows = [rng.integers(40, size=k) for k in [2, 40, 3, 17, 2, 29, 8, 40]]
+        rows.append(np.array([4, 4, 4]))  # every feature constant
+        features = np.sort([rng.choice(9, size=4, replace=False) for _ in rows], axis=1)
+        totals = np.array([np.bincount(y_idx[r], minlength=4) for r in rows], dtype=np.float64)
+        with mock.patch.object(classify, "_SPLIT_BLOCK", block):
+            feature, threshold = classify._best_splits(X, y_idx, rows, totals, features)
+        for i, r in enumerate(rows):
+            want = ref_best_split(X, y_idx, r, 4, features[i])
+            if want is None:
+                assert feature[i] == -1
+            else:
+                assert (feature[i], threshold[i]) == want
+        assert feature[-1] == -1 and (feature[:-1] >= 0).any()
+
+
+# --- reference MLP and linear SVM fits, as they were before the Adam step
+# and the SVC's margins were updated in place --------------------------------
+
+
+def ref_svc_objective(w: np.ndarray, b: float, X: np.ndarray, s: np.ndarray, C: float) -> float:
+    """Primal hinge objective 0.5·‖w‖² + C·Σ max(0, 1 − s·(Xw+b))."""
+    margins = 1.0 - s * (X @ w + b)
+    return float(0.5 * w @ w + C * np.clip(margins, 0.0, None).sum())
+
+
+def ref_fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dict[str, Any]:
+    n, d = X.shape
+    C = params["C"]
+    W = np.zeros((T.shape[1], d))
+    b = np.zeros(T.shape[1])
+    histories = []
+    for ci in range(T.shape[1]):
+        s = 2.0 * T[:, ci] - 1.0
+        w = np.zeros(d)
+        bc = 0.0
+        obj = ref_svc_objective(w, bc, X, s, C)
+        history = [obj]
+        lr = 1.0 / (C * ((X * X).sum() + n) / n + 1.0)
+        for _ in range(params["max_epochs"]):
+            active = (1.0 - s * (X @ w + bc)) > 0
+            grad_w = w - C * (s[active] @ X[active])
+            grad_b = -C * s[active].sum()
+            # Backtracking keeps the objective non-increasing even though
+            # the hinge is only subdifferentiable.
+            trial_obj = ref_svc_objective(w - lr * grad_w, bc - lr * grad_b, X, s, C)
+            if trial_obj <= obj:
+                w -= lr * grad_w
+                bc -= lr * grad_b
+                improved = obj - trial_obj
+                obj = trial_obj
+                lr *= 1.1
+                if improved < 1e-8 * (1.0 + abs(obj)):
+                    history.append(obj)
+                    break
+            else:
+                lr *= 0.5
+                if lr < 1e-14:
+                    history.append(obj)
+                    break
+            history.append(obj)
+        W[ci] = w
+        b[ci] = bc
+        histories.append(history)
+    return {"W": W, "b": b, "objective_histories": histories}
+
+
+
+def ref_unpack_mlp(theta: np.ndarray, d: int, h: int, c: int):
+    i = 0
+    W1 = theta[i : i + d * h].reshape(h, d)
+    i += d * h
+    b1 = theta[i : i + h]
+    i += h
+    W2 = theta[i : i + h * c].reshape(c, h)
+    i += h * c
+    b2 = theta[i : i + c]
+    return W1, b1, W2, b2
+
+
+def ref_mlp_forward(theta: np.ndarray, X: np.ndarray, h: int, c: int):
+    W1, b1, W2, b2 = ref_unpack_mlp(theta, X.shape[1], h, c)
+    A = np.maximum(X @ W1.T + b1, 0.0)
+    Z = A @ W2.T + b2
+    Z -= Z.max(axis=1, keepdims=True)
+    expz = np.exp(Z)
+    P = expz / expz.sum(axis=1, keepdims=True)
+    return A, P
+
+
+def ref_mlp_objective(
+    theta: np.ndarray, X: np.ndarray, T: np.ndarray, hidden: int
+) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of a d→hidden(ReLU)→classes net."""
+    n = X.shape[0]
+    c = T.shape[1]
+    W1, b1, W2, b2 = ref_unpack_mlp(theta, X.shape[1], hidden, c)
+    A, P = ref_mlp_forward(theta, X, hidden, c)
+    loss = float(-(T * np.log(np.clip(P, 1e-12, None))).sum() / n)
+    dZ = (P - T) / n
+    grad_W2 = dZ.T @ A
+    grad_b2 = dZ.sum(axis=0)
+    dA = dZ @ W2
+    dA[A <= 0.0] = 0.0
+    grad_W1 = dA.T @ X
+    grad_b1 = dA.sum(axis=0)
+    grad = np.concatenate([grad_W1.ravel(), grad_b1, grad_W2.ravel(), grad_b2])
+    return loss, grad
+
+
+def ref_init_mlp(rng: np.random.Generator, d: int, h: int, c: int) -> np.ndarray:
+    lim1 = math.sqrt(6.0 / (d + h))
+    lim2 = math.sqrt(6.0 / (h + c))
+    return np.concatenate(
+        [
+            rng.uniform(-lim1, lim1, d * h),
+            np.zeros(h),
+            rng.uniform(-lim2, lim2, h * c),
+            np.zeros(c),
+        ]
+    )
+
+
+def ref_fit_mlp(
+    X: np.ndarray, T: np.ndarray, params: dict[str, Any], seed: int
+) -> dict[str, Any]:
+    n, d = X.shape
+    h, c = params["hidden"], T.shape[1]
+    rng = np.random.default_rng(seed)
+    theta = ref_init_mlp(rng, d, h, c)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    step, b1, b2 = params["step"], params["beta1"], params["beta2"]
+    t = 0
+    best_loss = math.inf
+    stall = 0
+    for _ in range(params["max_epochs"]):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, params["batch_size"]):
+            batch = order[start : start + params["batch_size"]]
+            loss, grad = ref_mlp_objective(theta, X[batch], T[batch], h)
+            epoch_loss += loss * len(batch)
+            t += 1
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            theta -= step * m_hat / (np.sqrt(v_hat) + 1e-8)
+        epoch_loss /= n
+        if best_loss - epoch_loss < params["tol"]:
+            stall += 1
+            if stall >= params["patience"]:
+                break
+        else:
+            stall = 0
+        best_loss = min(best_loss, epoch_loss)
+    return {"theta": theta, "hidden": h}
+
+
+def fit_data(seed, n, d, c, density=1.0):
+    """Normal features with a ``density`` share of nonzeros (tf-idf rows are
+    mostly zeros) and one-hot targets holding every class."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < density)
+    y_idx = rng.integers(0, c, size=n)
+    y_idx[:c] = np.arange(c)
+    return X, np.eye(c)[y_idx]
+
+
+MLP_CASES = {
+    "rows_below_batch": (10, 4, 3, 1.0, {"hidden": 8, "batch_size": 32, "max_epochs": 30}),
+    "partial_last_batch": (45, 6, 4, 0.3, {"hidden": 6, "batch_size": 8, "max_epochs": 20}),
+    "patience_stop": (
+        20, 3, 2, 1.0, {"hidden": 5, "batch_size": 8, "max_epochs": 50, "tol": 1e3, "patience": 3}
+    ),
+    "one_hidden_unit": (30, 4, 3, 0.5, {"hidden": 1, "batch_size": 7, "max_epochs": 25}),
+}
+
+SVC_CASES = {
+    "converges": (40, 5, 3, {}),
+    "epoch_cap": (40, 5, 3, {"max_epochs": 7}),
+    "large_C": (30, 8, 2, {"C": 50.0}),
+    "sparse_rows": (50, 12, 4, {"C": 0.3}),
+}
+
+
+class TestFitsAgainstReference:
+    """The in-place MLP and SVC fits give bit-identical parameters to the
+    fits that built new arrays each step."""
+
+    @pytest.mark.parametrize("case", list(MLP_CASES))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_mlp(self, case, seed):
+        n, d, c, density, params = MLP_CASES[case]
+        X, T = fit_data(seed, n, d, c, density)
+        params = ClassifierSpec("mlp", params={"step": 1e-2, **params}).params
+        want = ref_fit_mlp(X, T, params, seed)["theta"]
+        assert classify._fit_mlp(X, T, params, seed)["theta"].tobytes() == want.tobytes()
+        if case == "patience_stop":
+            # Every epoch after the first stalls, so the fit stops after
+            # 1 + ``patience`` epochs.
+            capped = ref_fit_mlp(X, T, {**params, "max_epochs": 4}, seed)["theta"]
+            assert capped.tobytes() != ref_fit_mlp(X, T, {**params, "max_epochs": 3}, seed)[
+                "theta"
+            ].tobytes()
+            assert capped.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", list(SVC_CASES))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_linear_svc(self, case, seed):
+        n, d, c, params = SVC_CASES[case]
+        X, T = fit_data(seed, n, d, c, 0.4 if case == "sparse_rows" else 1.0)
+        params = ClassifierSpec("linear_svc", params=params).params
+        want = ref_fit_linear_svc(X, T, params)
+        got = classify._fit_linear_svc(X, T, params)
+        assert got["W"].tobytes() == want["W"].tobytes()
+        assert got["b"].tobytes() == want["b"].tobytes()
+        assert got["objective_histories"] == want["objective_histories"]
+        if case == "epoch_cap":
+            assert all(len(h) == 8 for h in got["objective_histories"])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mlp_objective_into_a_buffer(self, seed):
+        """With a buffer, without one and in the reference: the same loss
+        and gradient bits. Hidden unit 0 is off for every row, so its
+        gradient entries are zeros that must not turn into -0.0."""
+        rng = np.random.default_rng(seed)
+        n, d, c = int(rng.integers(1, 12)), int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        h = int(rng.integers(1, 5))
+        X, T = fit_data(seed, n, d, c if n >= c else 2, 0.6)
+        c = T.shape[1]
+        theta = rng.normal(size=d * h + h + h * c + c)
+        theta[d * h] = -1e3  # the bias of hidden unit 0
+        loss, grad = mlp_objective(theta, X, T, h)
+        buffer = np.full_like(theta, np.nan)
+        loss_into, grad_into = mlp_objective(theta, X, T, h, buffer)
+        assert grad_into is buffer
+        want_loss, want_grad = ref_mlp_objective(theta, X, T, h)
+        assert loss == loss_into == want_loss
+        assert grad.tobytes() == grad_into.tobytes() == want_grad.tobytes()
+
+    def test_mlp_objective_off_unit_gradient_is_positive_zero(self):
+        """Hidden unit 0 is off for every row and the signal into it is
+        negative, so masking it by a product leaves -0.0 in its rows; its
+        gradient entries are still +0.0, as in the reference."""
+        rng = np.random.default_rng(4)
+        n, d, h, c = 6, 3, 2, 2
+        X = rng.normal(size=(n, d))
+        T = np.eye(c)[np.zeros(n, dtype=int)]
+        theta = rng.normal(size=d * h + h + h * c + c)
+        theta[d * h] = -1e3  # the bias of hidden unit 0
+        theta[d * h + h : d * h + h + h * c].reshape(c, h)[:, 0] = [1.0, 0.0]
+        _, grad = mlp_objective(theta, X, T, h)
+        _, want = ref_mlp_objective(theta, X, T, h)
+        assert grad.tobytes() == want.tobytes()
+        assert not np.signbit(grad[d * h])
+

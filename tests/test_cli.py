@@ -900,6 +900,18 @@ class TestExitCodes:
                      "--output", str(tmp_path / "c.jsonl")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_manifest_entry_of_the_wrong_type_is_2(self, pipeline, tmp_path, capsys):
+        manifest = json.loads(pipeline["manifest"].read_text("utf-8"))
+        for entry in manifest["entries"]:
+            entry["path"] = str(pipeline["manifest"].parent / entry["path"])
+        manifest["entries"][3]["id"] = 5
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "c.jsonl"
+        assert main(["ingest", str(bad), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: entry 3: id is a JSON int, not a string\n"
+        assert not out.exists()
+
     def test_os_error_is_2(self, pipeline, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "mat.csv"
         code = main(["encode", str(pipeline["jsonl"]), "--encoding", "text_tfidf",

@@ -495,6 +495,20 @@ class TestLoadCorpus:
         with pytest.raises(ManifestError, match="per_class_limit"):
             load_corpus(mp)
 
+    @pytest.mark.parametrize(
+        "key,value,kind",
+        [("id", ["a"], "list"), ("id", 5, "int"), ("path", 5, "int"), ("label", ["a"], "list")],
+    )
+    def test_entry_field_of_the_wrong_type_names_the_entry(self, tmp_path, key, value, kind):
+        mp = write_corpus_files(
+            tmp_path, [(f"d{i}", "a", "<p>words here</p>") for i in range(2)]
+        )
+        manifest = json.loads(mp.read_text("utf-8"))
+        manifest["entries"][1][key] = value
+        mp.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ManifestError, match=f"^entry 1: {key} is a JSON {kind}, not a string$"):
+            load_corpus(mp)
+
     def test_missing_file_named(self, tmp_path):
         manifest = {
             "format": "html_math",
