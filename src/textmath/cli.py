@@ -27,7 +27,7 @@ from .cluster import ClusterAssignment, ClustererSpec, dump_assignment, fit_pred
 from .corpus import Corpus, dump_corpus_jsonl, load_corpus, load_corpus_jsonl
 from .embedding import EmbeddingParams
 from .encode import Channels, EncodingSpec, count_streams, fit_encoder, parse_encoding_name
-from .errors import ConfigError, TextMathError, ZeroVarianceError, check_int
+from .errors import ConfigError, TextMathError, check_int
 from .evaluate import (
     EvaluationReport,
     build_report,
@@ -388,7 +388,7 @@ def _write_correlations(config: ExperimentConfig, matrices: dict[str, Any], log:
             try:
                 r = text_math_correlation(matrices[a], matrices[b])
                 lines.append(f"{a},{b},{r:.6f}")
-            except (ZeroVarianceError, ValueError) as exc:
+            except TextMathError as exc:  # a constant series, too few or mismatched samples
                 lines.append(f"{a},{b},")
                 log.error("correlate", f"{a}/{b}", exc)
     log.file("correlations.csv").write_text("\n".join(lines) + "\n", "utf-8")

@@ -21,6 +21,7 @@ import logging
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -286,21 +287,28 @@ class _TokenIndex:
 
     ``starts`` and ``ends`` are the raw-text spans of every token, a maximal
     run of word characters; ``kept`` holds the tokens that cleaning keeps, in
-    order, so it equals ``clean_text(raw_text, stopwords)`` for NFC text.
+    order, so it equals ``clean_text(raw_text, stopwords)`` for NFC text. The
+    offsets and counts are C ints (``array('i')``), 4 bytes each where a
+    list of Python ints takes about 36; every loaded document keeps its
+    index for the run.
     """
 
     def __init__(self, raw_text: str, cleaner: _Cleaner) -> None:
-        self.starts: list[int] = []
-        self.ends: list[int] = []
+        starts: list[int] = []
+        ends: list[int] = []
         self.kept: list[str] = []  # the tokens cleaning keeps, in order
-        self.kept_before: list[int] = [0]  # kept tokens among the first i tokens
+        kept_before = [0]  # kept tokens among the first i tokens
         for match in _TOKEN_RE.finditer(raw_text):
-            self.starts.append(match.start())
-            self.ends.append(match.end())
+            starts.append(match.start())
+            ends.append(match.end())
             tok = cleaner[match.group()]
             if tok is not None:
                 self.kept.append(tok)
-            self.kept_before.append(len(self.kept))
+            kept_before.append(len(self.kept))
+        # Appending to a list and converting once is faster than array.append.
+        self.starts = array("i", starts)
+        self.ends = array("i", ends)
+        self.kept_before = array("i", kept_before)
 
     def window(self, lo: int, hi: int) -> list[str]:
         """The kept tokens that overlap ``raw_text[lo:hi]``, whole, in order."""

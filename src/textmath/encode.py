@@ -118,9 +118,11 @@ class EncodedMatrix:
     sample_ids: list[str]
     features: np.ndarray
     feature_names: list[str] | None = None
-    # (features the cosines were computed from, the cosines); reassigning
-    # ``features`` makes the memo stale.
-    _pair_cosines: tuple[np.ndarray, np.ndarray] | None = field(
+    # (features the terms were computed from, the matrix's own terms of the
+    # text-math correlation, O(n + d) floats); kept by
+    # ``evaluate.text_math_correlation``, so a matrix paired with several
+    # others computes them once. Reassigning ``features`` makes it stale.
+    _correlation_terms: tuple[np.ndarray, Any] | None = field(
         default=None, init=False, repr=False
     )
     # (features the entries were computed from, PCA projections and k-means
@@ -147,18 +149,6 @@ class EncodedMatrix:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def pair_cosines(self) -> np.ndarray:
-        """Cosine similarity of every unordered row pair (i < j), row-major;
-        all-zero rows have similarity 0. Computed once per features array."""
-        if self._pair_cosines is None or self._pair_cosines[0] is not self.features:
-            X = self.features
-            norms = np.linalg.norm(X, axis=1)
-            safe = np.where(norms > 0, norms, 1.0)
-            normalized = X / safe[:, None]
-            sims = normalized @ normalized.T
-            self._pair_cosines = (X, sims[np.triu_indices(X.shape[0], k=1)])
-        return self._pair_cosines[1]
 
     def to_csv(self, path: str | Path) -> None:
         """Dump as ``sample_id,f0,...,fN`` CSV plus a JSON sidecar."""

@@ -88,7 +88,13 @@ class RaggedGridError(TextMathError):
 
 
 class TooFewSamplesError(TextMathError):
-    """Not enough samples for the requested fold count."""
+    """Not enough samples for the requested fold count, or fewer than the 3
+    a pair-similarity correlation needs."""
+
+
+class SampleMismatchError(TextMathError):
+    """Two matrices that must describe the same samples, in the same order,
+    do not."""
 
 
 # semantify

@@ -15,6 +15,7 @@ variant, which differ exactly when cluster sizes are uneven.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .encode import fit_encoder  # noqa: F401 -- perfbench/spans.py wraps it
 from .errors import (
     LengthMismatchError,
     RaggedGridError,
+    SampleMismatchError,
     TooFewSamplesError,
     ZeroVarianceError,
 )
@@ -315,14 +317,126 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float((xc * yc).sum() / (sx * sy))
 
 
+# A series whose variance term is at most this fraction of its scale counts as
+# constant (see ``text_math_correlation``).
+CONSTANT_TOLERANCE = 1e-12
+# Rows per block when a Gram product is taken from row Gram matrices.
+_GRAM_BLOCK = 128
+
+
+class _PairTerms(NamedTuple):
+    """One matrix's own terms of the text-math correlation. With U its unit
+    rows, m their mean and W = U - m, the cosine of rows i and j is
+    a_ij = |m|^2 + g_ij, where g_ij = s_i + s_j + w_i·w_j and s = W m."""
+
+    mean: np.ndarray  # m
+    s: np.ndarray  # W m
+    diag: np.ndarray  # g_ii = 2 s_i + |w_i|^2
+    total: float  # sum of g_ij over the pairs i < j
+    total_sq: float  # sum of g_ij^2 over the pairs i < j
+    scale: float  # sum of a_ij^2 over all i, j, which is |U^T U|_F^2
+
+
+def _centred_rows(
+    features: np.ndarray, mean: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(W, m): the rows scaled to unit length (all-zero rows stay zero), less
+    ``mean``, which is by default the mean of the unit rows."""
+    norms = np.linalg.norm(features, axis=1)
+    W = features / np.where(norms > 0, norms, 1.0)[:, None]
+    if mean is None:
+        mean = W.mean(axis=0)
+    W -= mean
+    return W, mean
+
+
+def _gram_product(W: np.ndarray, X: np.ndarray) -> float:
+    """|W^T X|_F^2, which equals sum_ij (w_i·w_j)(x_i·x_j), by the cheaper
+    form. W^T X costs n·d_w·d_x. The row Gram matrices cost about
+    n(n + B)(d_w + d_x)/2: they are taken over the upper triangle in blocks
+    of B rows, so no n × n array is held."""
+    n, d_w = W.shape
+    d_x = X.shape[1]
+    if d_w * d_x <= (n + _GRAM_BLOCK) * (d_w + d_x) / 2:
+        P = W.T @ X
+        return float(np.vdot(P, P))
+    total = 0.0
+    for lo in range(0, n, _GRAM_BLOCK):
+        width = min(_GRAM_BLOCK, n - lo)
+        P = W[lo : lo + width] @ W[lo:].T
+        P *= P if X is W else X[lo : lo + width] @ X[lo:].T
+        total += P[:, :width].sum() + 2.0 * P[:, width:].sum()
+    return float(total)
+
+
+def _pair_terms(X: EncodedMatrix) -> tuple[_PairTerms, np.ndarray]:
+    """X's own correlation terms, computed once per ``features`` array, and
+    its centred rows W."""
+    memo = X._correlation_terms
+    if memo is not None and memo[0] is X.features:
+        return memo[1], _centred_rows(X.features, memo[1].mean)[0]
+    W, mean = _centred_rows(X.features)
+    n = W.shape[0]
+    s = W @ mean
+    diag = 2.0 * s + (W * W).sum(axis=1)
+    full_sq = 2.0 * n * float(s @ s) + _gram_product(W, W)  # sum_ij g_ij^2
+    c = float(mean @ mean)
+    terms = _PairTerms(
+        mean=mean,
+        s=s,
+        diag=diag,
+        total=-0.5 * float(diag.sum()),
+        total_sq=0.5 * (full_sq - float(diag @ diag)),
+        scale=full_sq + n * n * c * c,
+    )
+    X._correlation_terms = (X.features, terms)
+    return terms, W
+
+
+def _variance_term(terms: _PairTerms, pairs: int) -> float:
+    var = pairs * terms.total_sq - terms.total**2
+    if var <= CONSTANT_TOLERANCE * pairs * terms.scale:
+        raise ZeroVarianceError("one series is constant, correlation undefined")
+    return var
+
+
 def text_math_correlation(X_text: EncodedMatrix, X_math: EncodedMatrix) -> float:
     """Pearson correlation between the two spaces' pairwise cosine
-    similarities, over all unordered sample pairs."""
+    similarities, over all N = n(n-1)/2 unordered sample pairs i < j; an
+    all-zero row has cosine 0 with every row.
+
+    No pair is listed: r comes from moment sums, in O(n + d²) memory. With U
+    the unit rows, m their mean, W = U - m and s = W m, the cosine of rows i
+    and j is a_ij = |m|^2 + g_ij, where g_ij = s_i + s_j + w_i·w_j. Pearson's
+    r does not see the shift |m|^2, so it is taken over g and the other
+    matrix's h (from its X and t). The rows of W sum to zero, so over all
+    i, j
+      sum g = 0,    sum g h = 2n s·t + |W^T X|_F^2,
+    and a sum over the pairs i < j is half of that, less the diagonal's
+    g_ii h_ii. With var_g = N sum g^2 - (sum g)^2 over the pairs,
+    r = (N sum g h - sum g sum h) / sqrt(var_g var_h). Centring on m keeps
+    cosines that sit near 1, as paragraph vectors' may, from cancelling.
+    Each matrix's own terms are memoised on it.
+
+    A constant series leaves a rounding residue in its variance term, not
+    an exact 0. So ``ZeroVarianceError`` is raised when var_g is at most
+    ``CONSTANT_TOLERANCE`` times N |U^T U|_F^2, which bounds it.
+    """
     if X_text.sample_ids != X_math.sample_ids:
-        raise ValueError("matrices must cover the same samples in the same order")
-    if X_text.n_samples < 3:
-        raise ValueError("need at least 3 samples for a pair-similarity correlation")
-    return pearson(X_text.pair_cosines(), X_math.pair_cosines())
+        raise SampleMismatchError("matrices must cover the same samples in the same order")
+    n = X_text.n_samples
+    if n < 3:
+        raise TooFewSamplesError(
+            f"need at least 3 samples for a pair-similarity correlation, got {n}"
+        )
+    pairs = n * (n - 1) // 2
+    a, W = _pair_terms(X_text)
+    var_a = _variance_term(a, pairs)
+    b, X = _pair_terms(X_math)
+    var_b = _variance_term(b, pairs)
+    full = 2.0 * n * float(a.s @ b.s) + _gram_product(W, X)  # sum_ij g_ij h_ij
+    total_ab = 0.5 * (full - float(a.diag @ b.diag))
+    return (pairs * total_ab - a.total * b.total) / math.sqrt(var_a * var_b)
 
 
 # --- runtimes ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import textmath
-from textmath import cluster, encode, evaluate, load_corpus, make_folds
+from textmath import cli, cluster, encode, evaluate, load_corpus, make_folds
 from textmath.classify import ClassifierSpec
 from textmath.cli import (
     ExperimentConfig,
@@ -261,6 +261,36 @@ class TestRunExperiment:
         name_a, name_b, r = lines[1].split(",")
         assert (name_a, name_b) == ("text_tfidf", "math_id_tfidf")
         assert -1.0 <= float(r) <= 1.0
+
+    def test_constant_similarities_leave_an_empty_correlation_cell(self, tmp_path, monkeypatch):
+        def against_identical_rows(X_a, X_b):
+            constant = encode.EncodedMatrix(None, X_b.sample_ids, np.ones_like(X_b.features))
+            return evaluate.text_math_correlation(X_a, constant)
+
+        monkeypatch.setattr(cli, "text_math_correlation", against_identical_rows)
+        config = load_experiment_config(write_config(tmp_path, classifiers=[]))
+        run_experiment(config)
+        lines = (config.output_dir / "correlations.csv").read_text().splitlines()
+        assert lines[1] == "text_tfidf,math_id_tfidf,"
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        assert record["cell_errors"] == [
+            {
+                "stage": "correlate",
+                "cell": "text_tfidf/math_id_tfidf",
+                "error": "ZeroVarianceError: one series is constant, correlation undefined",
+            }
+        ]
+
+    def test_programming_error_in_the_correlation_is_not_an_empty_cell(
+        self, tmp_path, monkeypatch
+    ):
+        def broken(X_a, X_b):
+            raise ValueError("a bug, not a domain failure")
+
+        monkeypatch.setattr(cli, "text_math_correlation", broken)
+        config = load_experiment_config(write_config(tmp_path, classifiers=[]))
+        with pytest.raises(ValueError, match="a bug"):
+            run_experiment(config)
 
     def test_rerun_is_byte_identical(self, grid_run, tmp_path):
         config, _ = grid_run

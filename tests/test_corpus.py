@@ -2,6 +2,7 @@
 import json
 import re
 import unicodedata
+from array import array
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,19 @@ class TestSurroundingsIndex:
         extract_surroundings(doc, window=5, stopwords=frozenset())
         assert _token_index(doc, default_stopwords()) is index
         assert len(doc._token_indexes) == 2
+
+    def test_index_keeps_offsets_as_c_ints(self):
+        doc = make_doc(
+            raw_text=f"alpha the beta {PLACEHOLDER} gamma",
+            formulas=[formula(identifiers=["x"], offset=15)],
+        )
+        index = _token_index(doc, default_stopwords())
+        for offsets in (index.starts, index.ends, index.kept_before):
+            assert isinstance(offsets, array) and offsets.typecode == "i"
+        assert list(index.starts) == [0, 6, 10, 17]
+        assert list(index.ends) == [5, 9, 14, 22]
+        assert list(index.kept_before) == [0, 1, 1, 2, 3]
+        assert index.window(3, 12) == ["alpha", "beta"]
 
     def test_decomposed_markup_text_is_composed_at_parse(self):
         doc = parse_document(

@@ -1,5 +1,6 @@
 """Folds, accuracy, purity, correlation, runtimes, and report tables."""
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from textmath import (
     EncodingSpec,
     LengthMismatchError,
     RaggedGridError,
+    SampleMismatchError,
     TooFewSamplesError,
     ZeroVarianceError,
     accuracy_score,
@@ -226,7 +228,9 @@ class TestTextMathCorrelation:
         a = make_matrix(rng.normal(size=(8, 4)))
         b = make_matrix(rng.normal(size=(8, 4)))
         first = text_math_correlation(a, b)
-        assert a.pair_cosines() is a.pair_cosines()
+        memo = a._correlation_terms
+        assert text_math_correlation(a, b) == first
+        assert a._correlation_terms is memo
         a.features = b.features.copy()
         assert text_math_correlation(a, b) == pytest.approx(1.0, abs=1e-12)
         assert first != pytest.approx(1.0, abs=1e-6)
@@ -234,8 +238,149 @@ class TestTextMathCorrelation:
     def test_sample_id_mismatch(self):
         a = make_matrix(np.eye(3), ids=["x", "y", "z"])
         b = make_matrix(np.eye(3), ids=["x", "z", "y"])
-        with pytest.raises(ValueError):
+        with pytest.raises(SampleMismatchError):
             text_math_correlation(a, b)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_samples(self, n):
+        X = make_matrix(np.arange(1.0, 1.0 + 2 * n).reshape(n, 2))
+        with pytest.raises(TooFewSamplesError):
+            text_math_correlation(X, X)
+
+
+def oracle_correlation(A: np.ndarray, B: np.ndarray) -> float:
+    """The pair-listing form: the full cosine product of each matrix, its
+    upper triangle, then ``pearson`` over the two pair vectors."""
+    pairs = np.triu_indices(A.shape[0], k=1)
+    cosines = []
+    for X in (A, B):
+        norms = np.linalg.norm(X, axis=1)
+        U = X / np.where(norms > 0, norms, 1.0)[:, None]
+        cosines.append((U @ U.T)[pairs])
+    return pearson(*cosines)
+
+
+def embedding_like(rng, n, d, noise):
+    """Rows with a shared offset plus small noise: every cosine sits near 1."""
+    return rng.normal(size=d) + noise * rng.normal(size=(n, d))
+
+
+class TestCorrelationAgainstOracle:
+    def test_tfidf_matrices_from_a_synthetic_corpus(self):
+        corpus = generate_synthetic_corpus(
+            3, 15, vocab_per_class=12, shared_identifiers=5, seed=11,
+            tokens_per_doc=(15, 30), formulas_per_doc=(1, 4),
+        )
+        channels = Channels(corpus.documents, corpus.stopwords)
+        matrices = [
+            fit_encoder(EncodingSpec(content, "tfidf"), corpus.documents, channels=channels)[1]
+            for content in ("text", "math_op", "math_id", "math_opid", "math_surroundings")
+        ]
+        for i, a in enumerate(matrices):
+            for b in matrices[i + 1 :]:
+                expected = oracle_correlation(a.features, b.features)
+                assert text_math_correlation(a, b) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("n, d, noise", [(200, 16, 0.1), (60, 300, 0.05), (150, 8, 0.01)])
+    def test_embedding_like_rows_with_cosines_near_one(self, n, d, noise):
+        rng = np.random.default_rng(n + d)
+        A = embedding_like(rng, n, d, noise)
+        B = embedding_like(rng, n, d + 3, noise)
+        U = A / np.linalg.norm(A, axis=1)[:, None]
+        assert (U @ U.T).min() > 0.9
+        expected = oracle_correlation(A, B)
+        assert text_math_correlation(make_matrix(A), make_matrix(B)) == pytest.approx(
+            expected, abs=1e-9
+        )
+
+    def test_all_zero_rows(self):
+        rng = np.random.default_rng(12)
+        A = rng.poisson(0.4, size=(90, 30)).astype(float)
+        B = rng.poisson(0.4, size=(90, 25)).astype(float)
+        A[::4] = 0.0
+        B[::7] = 0.0
+        A[1::9] = 0.0
+        expected = oracle_correlation(A, B)
+        assert text_math_correlation(make_matrix(A), make_matrix(B)) == pytest.approx(
+            expected, abs=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "n, d_a, d_b, row_gram",
+        [
+            (300, 8, 40, False),  # n > d: the d_a x d_b product
+            (20, 300, 400, True),  # n < d: row Gram matrices, one block
+            (300, 900, 1000, True),  # n < d: row Gram matrices over several blocks
+            (150, 5, 2000, False),  # one narrow side keeps d_a x d_b cheaper
+        ],
+    )
+    def test_each_product_form(self, n, d_a, d_b, row_gram):
+        assert (d_a * d_b > (n + evaluate._GRAM_BLOCK) * (d_a + d_b) / 2) is row_gram
+        rng = np.random.default_rng(n + d_a + d_b)
+        A = rng.normal(size=(n, d_a))
+        B = rng.normal(size=(n, d_b)) + A[:, :1]  # some shared structure
+        A[3] = 0.0
+        expected = oracle_correlation(A, B)
+        assert text_math_correlation(make_matrix(A), make_matrix(B)) == pytest.approx(
+            expected, abs=1e-9
+        )
+
+
+class TestCorrelationMemory:
+    @pytest.mark.parametrize(
+        "n, d_a, d_b",
+        [
+            (2000, 6, 8),  # the pair vector would take 16 MB, an n x n product 32 MB
+            (12, 1200, 1300),  # a d_a x d_b product would take 12.5 MB
+        ],
+    )
+    def test_no_pair_vector_and_no_dearer_product_is_held(self, n, d_a, d_b):
+        rng = np.random.default_rng(15)
+        a = make_matrix(rng.normal(size=(n, d_a)))
+        b = make_matrix(rng.normal(size=(n, d_b)))
+        tracemalloc.start()
+        try:
+            text_math_correlation(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestConstantSeries:
+    """A constant series of pair cosines has no correlation; its variance
+    term is a rounding residue, and the tolerance rule calls it zero."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["identical rows", "all-zero rows", "orthonormal rows", "one non-zero row"],
+    )
+    def test_raises_zero_variance(self, name):
+        rng = np.random.default_rng(13)
+        n, d = 30, 30
+        constant = {
+            "identical rows": np.tile(rng.normal(size=(1, d)), (n, 1)),
+            "all-zero rows": np.zeros((n, d)),
+            "orthonormal rows": np.eye(n),
+            "one non-zero row": np.vstack([rng.normal(size=(1, d)), np.zeros((n - 1, d))]),
+        }[name]
+        other = make_matrix(rng.normal(size=(n, 7)))
+        with pytest.raises(ZeroVarianceError):
+            text_math_correlation(make_matrix(constant), other)
+        with pytest.raises(ZeroVarianceError):
+            text_math_correlation(other, make_matrix(constant))
+
+    def test_near_constant_series_gives_the_oracle_r(self):
+        rng = np.random.default_rng(14)
+        A = embedding_like(rng, 120, 16, 1e-2)
+        B = rng.normal(size=(120, 6))
+        U = A / np.linalg.norm(A, axis=1)[:, None]
+        cosines = (U @ U.T)[np.triu_indices(120, k=1)]
+        assert 0.0 < cosines.std() < 1e-4
+        expected = oracle_correlation(A, B)
+        assert text_math_correlation(make_matrix(A), make_matrix(B)) == pytest.approx(
+            expected, abs=1e-9
+        )
 
 
 class TestRuntimes:
