@@ -29,12 +29,19 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .encode import EncodedMatrix
-from .errors import DimensionMismatchError, SingleClassTrainingError, check_int, is_int
+from .errors import (
+    DimensionMismatchError,
+    SingleClassTrainingError,
+    check_int,
+    is_int,
+    merge_params,
+)
 
 ALGOS = ("logreg", "linear_svc", "knn", "mlp", "dectree", "randforest")
 
 # A param whose default is an integer is a count: any value given for it must
-# be an integer >= 1.
+# be an integer >= 1. One whose default is a bool must be a bool, and one whose
+# default is a float must lie in its interval in REAL_PARAMS.
 DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
     "logreg": {"C": 1.0, "max_epochs": 1000, "tol": 1e-4},
     "linear_svc": {"C": 1.0, "max_epochs": 1000},
@@ -52,6 +59,13 @@ DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
     "dectree": {},
     "randforest": {"n_trees": 100, "bootstrap": True, "max_features": "sqrt"},
 }
+REAL_PARAMS = {
+    "C": "(0, inf)",
+    "tol": "[0, inf)",
+    "step": "(0, inf)",
+    "beta1": "[0, 1)",
+    "beta2": "[0, 1)",
+}
 
 
 @dataclass(frozen=True)
@@ -63,18 +77,9 @@ class ClassifierSpec:
     def __post_init__(self) -> None:
         if self.algo not in ALGOS:
             raise ValueError(f"unknown classifier algo {self.algo!r}")
-        unknown = set(self.params) - set(DEFAULT_PARAMS[self.algo])
-        if unknown:
-            raise ValueError(f"unknown {self.algo} params: {sorted(unknown)}")
-        merged = {**DEFAULT_PARAMS[self.algo], **self.params}
+        merged = merge_params(self.algo, DEFAULT_PARAMS[self.algo], self.params, REAL_PARAMS)
         check_int(f"{self.algo}.seed", self.seed, 0)
-        for name, default in DEFAULT_PARAMS[self.algo].items():
-            if is_int(default, 1):
-                check_int(f"{self.algo}.{name}", merged[name], 1)
         if self.algo == "randforest":
-            bootstrap = merged["bootstrap"]
-            if not isinstance(bootstrap, bool):
-                raise ValueError(f"randforest.bootstrap must be true or false, got {bootstrap!r}")
             max_features = merged["max_features"]
             if not (max_features == "sqrt" or max_features is None or is_int(max_features, 1)):
                 raise ValueError(

@@ -26,19 +26,17 @@ from .cluster import ALGOS as CLUSTERER_ALGOS
 from .cluster import ClusterAssignment, ClustererSpec, dump_assignment, fit_predict_clusterer
 from .corpus import Corpus, dump_corpus_jsonl, load_corpus, load_corpus_jsonl
 from .embedding import EmbeddingParams
-from .encode import Channels, EncodingSpec, count_streams, fit_encoder, parse_encoding_name
+from .encode import Channels, EncodingSpec, fit_encoder, parse_encoding_name
 from .errors import ConfigError, TextMathError, check_int
 from .evaluate import (
+    CrossValidationResult,
     EvaluationReport,
     build_report,
     cross_validate,
-    cross_validate_bags,  # noqa: F401 -- kept importable here; perfbench/spans.py wraps it
-    encoding_folds,
+    cross_validate_bags,
     make_folds,
     normalize_runtimes,
     purity,
-    row_folds,
-    score_folds,
     text_math_correlation,
     weighted_purity,
 )
@@ -289,27 +287,30 @@ def _run_classification_grid(
     channels: Channels,
     log: _RunLog,
 ) -> EvaluationReport:
-    """Cross-validate every classifier on each row's folds. Each row's folds
-    are encoded once and shared by its classifiers, so the runtime row times
-    classifier fit and predict only."""
+    """Cross-validate every classifier on each row's folds, one
+    ``cross_validate`` call per encoding and one ``cross_validate_bags`` call
+    for the semantified row. Each row's folds are encoded once and shared by
+    its classifiers, so the runtime row times classifier fit and predict
+    only."""
     plan = make_folds(len(corpus.documents), config.n_folds, config.seed)
     col_names = _column_names(config.classifiers)
     cells: dict[tuple[str, str], float | None] = {}
     raw_times: dict[str, float] = {c: 0.0 for c in col_names}
 
-    rows = [
-        (name, encoding_folds(spec, corpus, plan, channels)) for name, spec in enc_specs.items()
-    ]
-    if config.lexicon is not None:
-        lex = load_lexicon(config.lexicon.path)
-        counts = count_streams(
-            enrich(d, lex, config.lexicon.top_n, config.lexicon.mode) for d in corpus.documents
-        )
-        folds = row_folds(None, counts, corpus.ids, plan)
-        rows.append((SEMANTIFIED_ROW[config.lexicon.mode], folds))
+    def rows() -> Iterator[tuple[str, list[CrossValidationResult | Exception]]]:
+        for name, spec in enc_specs.items():
+            yield name, cross_validate(config.classifiers, spec, corpus, plan, channels)
+        if config.lexicon is not None:
+            lex = load_lexicon(config.lexicon.path)
+            bags = (
+                enrich(d, lex, config.lexicon.top_n, config.lexicon.mode) for d in corpus.documents
+            )
+            outcomes = cross_validate_bags(
+                config.classifiers, bags, corpus.labels, corpus.label_set, plan
+            )
+            yield SEMANTIFIED_ROW[config.lexicon.mode], outcomes
 
-    for row_name, folds in rows:
-        outcomes = score_folds(config.classifiers, folds, corpus.labels, corpus.label_set)
+    for row_name, outcomes in rows():
         for col, outcome in zip(col_names, outcomes):
             cell = f"{row_name}/{col}"
             if isinstance(outcome, Exception):
@@ -428,7 +429,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     spec = ClassifierSpec(algo=args.algo, seed=args.seed)
     corpus = load_corpus_jsonl(args.corpus)
     plan = make_folds(len(corpus.documents), args.folds, args.seed)
-    result = cross_validate(spec, encoding, corpus, plan)
+    (result,) = cross_validate([spec], encoding, corpus, plan)
+    if isinstance(result, Exception):
+        raise result
     print(f"mean accuracy: {result.mean_accuracy:.4f}")
     print("fold accuracies: " + " ".join(f"{a:.4f}" for a in result.fold_accuracies))
     if args.output_dir:

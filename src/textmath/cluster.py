@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .encode import EncodedMatrix, pca_reduce
-from .errors import KExceedsSamplesError, check_int, is_int
+from .errors import KExceedsSamplesError, check_int, merge_params
 
 FIXED_K_ALGOS = ("kmeans", "agglomerative", "gmm")
 UNFIXED_K_ALGOS = ("affinity", "meanshift")
@@ -33,20 +33,14 @@ DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
     "affinity": {"damping": 0.5, "max_iter": 200, "stable_iters": 15},
     "meanshift": {"quantile": 0.3, "max_iter": 300},
 }
-
-
-def _check_param(algo: str, name: str, value: Any) -> None:
-    """Reject params the fitting loops cannot run with. A param whose default
-    is an integer is a count: an integer >= 1."""
-    if is_int(DEFAULT_PARAMS[algo][name], 1):
-        check_int(f"{algo}.{name}", value, 1)
-    elif name in ("quantile", "damping"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        if name == "quantile" and not 0 < value <= 1:
-            raise ValueError(f"quantile must be in (0, 1], got {value!r}")
-        if name == "damping" and not 0 <= value < 1:
-            raise ValueError(f"damping must be in [0, 1), got {value!r}")
+# The interval of each param whose default is a float; a param whose default
+# is an integer is a count, an integer >= 1.
+REAL_PARAMS = {
+    "tol": "[0, inf)",
+    "cov_floor": "(0, inf)",
+    "damping": "[0, 1)",
+    "quantile": "(0, 1]",
+}
 
 
 @dataclass(frozen=True)
@@ -69,12 +63,8 @@ class ClustererSpec:
         check_int(f"{self.algo}.seed", self.seed, 0)
         if self.pca_dims is not None:
             check_int(f"{self.algo}.pca_dims", self.pca_dims, 1)
-        unknown = set(self.params) - set(DEFAULT_PARAMS[self.algo])
-        if unknown:
-            raise ValueError(f"unknown {self.algo} params: {sorted(unknown)}")
-        object.__setattr__(self, "params", {**DEFAULT_PARAMS[self.algo], **self.params})
-        for name, value in self.params.items():
-            _check_param(self.algo, name, value)
+        merged = merge_params(self.algo, DEFAULT_PARAMS[self.algo], self.params, REAL_PARAMS)
+        object.__setattr__(self, "params", merged)
 
 
 @dataclass
@@ -280,17 +270,13 @@ def _fit_gmm(
     X: np.ndarray,
     k: int,
     params: dict[str, Any],
-    seed: int,
-    start: tuple[np.ndarray, dict[str, Any]] | None = None,
+    start: tuple[np.ndarray, dict[str, Any]],
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """Diagonal-covariance EM from a k-means start: ``start`` is that fit's
-    ``(assign, diag)``, and without it the default k-means is fitted with
-    ``seed``. EM stops when the log-likelihood changes by less than ``tol``
-    (``converged``) or after ``max_iter`` steps."""
+    ``(assign, diag)``. EM stops when the log-likelihood changes by less than
+    ``tol`` (``converged``) or after ``max_iter`` steps."""
     n, d = X.shape
     floor = params["cov_floor"]
-    if start is None:
-        start = _fit_kmeans(X, k, DEFAULT_PARAMS["kmeans"], seed)
     km_assign, km_diag = start
     # _fit_kmeans raises rather than leave a cluster empty, so every
     # component starts with a weight and a variance.
@@ -487,21 +473,12 @@ def _fit_meanshift(X: np.ndarray, params: dict[str, Any]) -> tuple[np.ndarray, d
 # --- entry point -------------------------------------------------------------------
 
 
-def _memo(X: EncodedMatrix) -> dict[tuple, Any]:
-    """X's memo of PCA projections and k-means fits, for its current
-    ``features`` array; reassigning ``features`` starts a new one. The
-    stored arrays are read-only."""
-    if X._cluster_memo is None or X._cluster_memo[0] is not X.features:
-        X._cluster_memo = (X.features, {})
-    return X._cluster_memo[1]
-
-
 def _reduced(X: EncodedMatrix, dims: int | None) -> np.ndarray:
     """X's features, projected onto ``dims`` principal components once per
-    dimension (none when ``dims`` is None)."""
+    dimension (none when ``dims`` is None); a kept projection is read-only."""
     if dims is None:
         return X.features
-    memo = _memo(X)
+    memo = X.memo()
     if ("pca", dims) not in memo:
         features = pca_reduce(X, dims).features
         features.flags.writeable = False
@@ -514,8 +491,8 @@ def _shared_kmeans(
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """``_fit_kmeans(_reduced(X, dims), spec.k, params, spec.seed)``, fitted
     once per features array: a row's kmeans cell and its GMM's start share
-    one fit."""
-    memo = _memo(X)
+    one fit, whose arrays are read-only."""
+    memo = X.memo()
     key = ("kmeans", spec.k, spec.seed, dims, tuple(sorted(params.items())))
     if key not in memo:
         assign, diag = _fit_kmeans(_reduced(X, dims), spec.k, params, spec.seed)
@@ -546,7 +523,7 @@ def fit_predict_clusterer(spec: ClustererSpec, X: EncodedMatrix) -> ClusterAssig
         diag = {}
     elif spec.algo == "gmm":
         start = _shared_kmeans(X, dims, spec, DEFAULT_PARAMS["kmeans"])
-        raw, state = _fit_gmm(features, spec.k, spec.params, spec.seed, start)
+        raw, state = _fit_gmm(features, spec.k, spec.params, start)
         diag = {
             "converged": state["converged"],
             "final_loglik": state["loglik_history"][-1],

@@ -98,7 +98,9 @@ class Document:
     formulas: list[Formula]
     # Token indexes of raw_text keyed by stopword set. Parsing and the loaders
     # build the default set's index; extract_surroundings builds any other on
-    # first use. They live as long as the document does.
+    # first use. They live as long as the document does. A parsed document's
+    # text_tokens is its default index's list of kept tokens, so neither list
+    # is mutated.
     _token_indexes: dict[frozenset[str], _TokenIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -218,9 +220,10 @@ def parse_document(raw_markup: str, format: str, id: str, label: str) -> Documen
     """Parse one markup document into a :class:`Document`.
 
     The text between two formulas is NFC-normalised in one piece, so
-    ``raw_text`` is NFC. It is tokenised once: that one pass gives both
-    ``text_tokens`` and the document's token index under the default
-    stopword set, which ``extract_surroundings`` then reads.
+    ``raw_text`` is NFC. It is tokenised once: that one pass gives the
+    document's token index under the default stopword set, which
+    ``extract_surroundings`` then reads, and ``text_tokens`` is that index's
+    list of kept tokens itself, not a copy.
 
     Raises :class:`MalformedMarkupError` for unbalanced/invalid markup and
     :class:`UnknownFormatError` for an unrecognized format name.
@@ -276,7 +279,7 @@ def _parse_document(
     raw_text = PLACEHOLDER.join(segments)
     index = _TokenIndex(raw_text, cleaner)
     doc = Document(
-        id=id, label=label, raw_text=raw_text, text_tokens=list(index.kept), formulas=formulas
+        id=id, label=label, raw_text=raw_text, text_tokens=index.kept, formulas=formulas
     )
     doc._token_indexes[cleaner.stopwords] = index
     return doc

@@ -19,14 +19,12 @@ earlier per-position draws.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyVocabularyError, check_int
+from .errors import EmptyVocabularyError, check_int, check_real
 
 INFER_STEPS = 50
 INFER_ALPHA = 0.025
@@ -34,16 +32,6 @@ _INFER_STREAM_KEY = 0x1DF3
 # Inference scores this many positions' contexts at once, which bounds its
 # scratch memory to _INFER_BLOCK x (1 + negative) x size floats.
 _INFER_BLOCK = 1024
-
-
-def _check_float(name: str, value: object, *, positive: bool) -> None:
-    """Raise naming ``name`` unless ``value`` is a finite real number that is
-    > 0 (``positive``) or >= 0. Bools are rejected."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    bound = "> 0" if positive else ">= 0"
-    if not math.isfinite(value) or value < 0 or (positive and value == 0):
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +53,8 @@ class EmbeddingParams:
         for name in ("negative", "seed"):
             check_int(f"EmbeddingParams.{name}", getattr(self, name), 0)
         for name in ("initial_alpha", "min_alpha"):
-            _check_float(f"EmbeddingParams.{name}", getattr(self, name), positive=True)
-        _check_float(
-            "EmbeddingParams.alpha_decay_per_epoch", self.alpha_decay_per_epoch, positive=False
-        )
+            check_real(f"EmbeddingParams.{name}", getattr(self, name), "(0, inf)")
+        check_real("EmbeddingParams.alpha_decay_per_epoch", self.alpha_decay_per_epoch, "[0, inf)")
 
 
 @dataclass

@@ -118,20 +118,8 @@ class EncodedMatrix:
     sample_ids: list[str]
     features: np.ndarray
     feature_names: list[str] | None = None
-    # (features the terms were computed from, the matrix's own terms of the
-    # text-math correlation, O(n + d) floats); kept by
-    # ``evaluate.text_math_correlation``, so a matrix paired with several
-    # others computes them once. Reassigning ``features`` makes it stale.
-    _correlation_terms: tuple[np.ndarray, Any] | None = field(
-        default=None, init=False, repr=False
-    )
-    # (features the entries were computed from, PCA projections and k-means
-    # fits); kept by ``cluster.fit_predict_clusterer`` so a row's clusterers
-    # share one projection per dimension and its GMM starts from its k-means
-    # column's fit.
-    _cluster_memo: tuple[np.ndarray, dict[tuple, Any]] | None = field(
-        default=None, init=False, repr=False
-    )
+    # (features the entries were computed from, the entries); see ``memo``.
+    _memo: tuple[np.ndarray, dict[Any, Any]] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -141,6 +129,18 @@ class EncodedMatrix:
             raise ValueError("row count does not match sample_ids")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain NaN or Inf")
+
+    def memo(self) -> dict[Any, Any]:
+        """Values computed from the current ``features`` array and kept with
+        it: the PCA projections and k-means fits of
+        ``cluster.fit_predict_clusterer``, so a row's clusterers share one
+        projection per dimension and its GMM starts from its k-means column's
+        fit, and the text-math correlation's own terms of this matrix, so a
+        matrix paired with several others computes them once. Reassigning
+        ``features`` starts a new memo."""
+        if self._memo is None or self._memo[0] is not self.features:
+            self._memo = (self.features, {})
+        return self._memo[1]
 
     @property
     def n_samples(self) -> int:

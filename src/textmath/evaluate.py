@@ -2,14 +2,17 @@
 matrices, text-math similarity correlation, relative runtimes, and report
 tables.
 
-Every classification row, an encoding or the semantified bags, goes
-through one fold builder, ``row_folds``. The row's source is built once per
-run: a tf-idf row's token counts (``encode.Channels``; the semantified bags
-are counted the same way) or an embedding row's token streams. The encoder
-is refitted on each training fold's rows before the held-out rows are
-encoded, so no vocabulary or embedding information leaks across the split;
-a tf-idf fold is a slice of the row's counts. Every classifier in the row
-is fitted and scored on that fold's shared matrices. Purity comes in two
+Every classification row is scored by one call: ``cross_validate`` for an
+encoding, ``cross_validate_bags`` for pre-built token bags (the semantified
+row). Each takes the row's list of classifiers, builds its folds with
+``row_folds`` and scores them with ``score_folds``, and returns one result
+or one exception per classifier. The row's source is built once per run: a
+tf-idf row's token counts (``encode.Channels``; the semantified bags are
+counted the same way) or an embedding row's token streams. The encoder is
+refitted on each training fold's rows before the held-out rows are encoded,
+so no vocabulary or embedding information leaks across the split; a tf-idf
+fold is a slice of the row's counts. Every classifier in the row is fitted
+and scored on that fold's shared matrices. Purity comes in two
 flavors: the macro mean over clusters (headline) and the sample-weighted
 variant, which differ exactly when cluster sizes are uneven.
 """
@@ -139,11 +142,15 @@ class Fold(NamedTuple):
     X_test: EncodedMatrix
 
 
+def _check_covers(plan: FoldPlan, n: int) -> None:
+    if plan.n_samples != n:
+        raise LengthMismatchError(f"plan covers {plan.n_samples} samples, got {n}")
+
+
 def _splits(plan: FoldPlan, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(train indices, test indices) of each fold over ``n`` samples, in fold
     order; the plan must cover exactly those samples."""
-    if plan.n_samples != n:
-        raise LengthMismatchError(f"plan covers {plan.n_samples} samples, got {n}")
+    _check_covers(plan, n)
     everything = np.arange(n)
     for fold in range(plan.n_folds):
         test_idx = plan.fold_indices(fold)
@@ -162,18 +169,6 @@ def row_folds(
         X_test = encoder.transform_rows(source, test_idx, sample_ids)
         yield Fold(train_idx, test_idx, X_train, X_test)
         del encoder, X_train, X_test
-
-
-def encoding_folds(
-    encoding: EncodingSpec, corpus: Corpus, plan: FoldPlan, channels: Channels | None = None
-) -> Iterator[Fold]:
-    """``row_folds`` over the row's source from ``channels`` (the run's; by
-    default built for this call). The source is fetched when the first fold
-    is requested, so a failure to build it goes to ``score_folds`` like any
-    other fold failure."""
-    if channels is None:
-        channels = Channels(corpus.documents, corpus.stopwords)
-    yield from row_folds(encoding, channels.source(encoding), corpus.ids, plan)
 
 
 def score_folds(
@@ -230,39 +225,44 @@ def score_folds(
     ]
 
 
-def _single_result(outcomes: list[CrossValidationResult | Exception]) -> CrossValidationResult:
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def cross_validate(
-    spec: ClassifierSpec,
+    specs: Sequence[ClassifierSpec],
     encoding: EncodingSpec,
     corpus: Corpus,
     plan: FoldPlan,
-) -> CrossValidationResult:
-    """Per fold: fit encoder and classifier on the training side, score the
-    held-out side; accuracies averaged unweighted over folds."""
-    return _single_result(
-        score_folds([spec], encoding_folds(encoding, corpus, plan), corpus.labels, corpus.label_set)
-    )
+    channels: Channels | None = None,
+) -> list[CrossValidationResult | Exception]:
+    """Score every classifier in ``specs`` on one encoding's folds; see
+    ``score_folds``. The folds are ``row_folds`` over the encoding's source
+    from ``channels`` (the run's; by default built for this call). The
+    source is fetched when the first fold is requested, so a failure to
+    build it becomes every spec's exception."""
+    _check_covers(plan, len(corpus.documents))
+
+    def folds() -> Iterator[Fold]:
+        run = Channels(corpus.documents, corpus.stopwords) if channels is None else channels
+        yield from row_folds(encoding, run.source(encoding), corpus.ids, plan)
+
+    return score_folds(specs, folds(), corpus.labels, corpus.label_set)
 
 
 def cross_validate_bags(
-    spec: ClassifierSpec,
-    bags: list[list[str]],
-    labels: list[str],
+    specs: Sequence[ClassifierSpec],
+    bags: Iterable[list[str]],
+    labels: Sequence[str],
     label_set: list[str],
     plan: FoldPlan,
-) -> CrossValidationResult:
-    """Cross-validate tf-idf over pre-built token bags (e.g. enriched
-    streams), refitting the vocabulary per training fold."""
-    if len(bags) != len(labels):
-        raise LengthMismatchError(f"{len(bags)} bags vs {len(labels)} labels")
-    folds = row_folds(None, count_streams(bags), [str(i) for i in range(len(bags))], plan)
-    return _single_result(score_folds([spec], folds, labels, label_set))
+) -> list[CrossValidationResult | Exception]:
+    """Score every classifier in ``specs`` on plain tf-idf over pre-built
+    token bags (e.g. enriched streams), refitting the vocabulary per
+    training fold; see ``score_folds``. ``bags`` is read once, so it may be
+    a generator that builds them one at a time."""
+    counts = count_streams(bags)
+    if len(counts) != len(labels):
+        raise LengthMismatchError(f"{len(counts)} bags vs {len(labels)} labels")
+    _check_covers(plan, len(counts))
+    folds = row_folds(None, counts, [str(i) for i in range(len(counts))], plan)
+    return score_folds(specs, folds, labels, label_set)
 
 
 # --- purity ---------------------------------------------------------------------
@@ -372,9 +372,10 @@ def _gram_product(W: np.ndarray, X: np.ndarray) -> float:
 def _pair_terms(X: EncodedMatrix) -> tuple[_PairTerms, np.ndarray]:
     """X's own correlation terms, computed once per ``features`` array, and
     its centred rows W."""
-    memo = X._correlation_terms
-    if memo is not None and memo[0] is X.features:
-        return memo[1], _centred_rows(X.features, memo[1].mean)[0]
+    memo = X.memo()
+    if "correlation" in memo:
+        terms = memo["correlation"]
+        return terms, _centred_rows(X.features, terms.mean)[0]
     W, mean = _centred_rows(X.features)
     n = W.shape[0]
     s = W @ mean
@@ -389,7 +390,7 @@ def _pair_terms(X: EncodedMatrix) -> tuple[_PairTerms, np.ndarray]:
         total_sq=0.5 * (full_sq - float(diag @ diag)),
         scale=full_sq + n * n * c * c,
     )
-    X._correlation_terms = (X.features, terms)
+    memo["correlation"] = terms
     return terms, W
 
 

@@ -15,6 +15,15 @@ def make_matrix(X, ids=None, spec=None):
     return EncodedMatrix(spec=spec, sample_ids=list(ids), features=X)
 
 
+def only_result(outcomes):
+    """The one outcome of a one-classifier ``cross_validate`` or
+    ``cross_validate_bags`` call; an exception in its place is raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def make_blobs(centers, n_per, scale, seed=0):
     """Isotropic Gaussian blobs; returns (X, labels as blob index strings)."""
     rng = np.random.default_rng(seed)

@@ -29,7 +29,7 @@ from textmath.cli import load_experiment_config, run_experiment
 from textmath.cluster import ClustererSpec, fit_predict_clusterer
 from textmath.encode import parse_encoding_name
 from textmath.synth import class_lexicon_tsv
-from tests.conftest import make_matrix
+from tests.conftest import make_matrix, only_result
 from tests.test_classify import central_diff
 from tests.test_cli import MINI_MANIFEST, write_config
 from tests.test_encode import naive_tfidf
@@ -56,21 +56,21 @@ def headline(tmp_path_factory):
         14, 50, vocab_per_class=30, shared_identifiers=12, seed=42
     )
     plan = make_folds(len(corpus.documents), 10, seed=0)
-    clf = ClassifierSpec("logreg")
+    specs = [ClassifierSpec("logreg")]
     out = {"corpus": corpus, "plan": plan, "n_docs": len(corpus.documents)}
 
     start = time.perf_counter()
-    out["text_tfidf"] = cross_validate(
-        clf, parse_encoding_name("text_tfidf"), corpus, plan
+    out["text_tfidf"] = only_result(
+        cross_validate(specs, parse_encoding_name("text_tfidf"), corpus, plan)
     ).mean_accuracy
-    out["math_id_tfidf"] = cross_validate(
-        clf, parse_encoding_name("math_id_tfidf"), corpus, plan
+    out["math_id_tfidf"] = only_result(
+        cross_validate(specs, parse_encoding_name("math_id_tfidf"), corpus, plan)
     ).mean_accuracy
     # full-size embeddings would blow the stated runtime budget; a smaller
     # model answers the same chance-level question
     emb = EmbeddingParams(size=50, epochs=5, min_count=1, seed=0)
-    out["math_id_embedding"] = cross_validate(
-        clf, parse_encoding_name("math_id_embedding", emb), corpus, plan
+    out["math_id_embedding"] = only_result(
+        cross_validate(specs, parse_encoding_name("math_id_embedding", emb), corpus, plan)
     ).mean_accuracy
     out["elapsed"] = time.perf_counter() - start
 
@@ -80,8 +80,8 @@ def headline(tmp_path_factory):
     from textmath import enrich
 
     bags = [enrich(d, lex, top_n=3, mode="append") for d in corpus.documents]
-    out["semantified"] = cross_validate_bags(
-        clf, bags, corpus.labels, corpus.label_set, plan
+    out["semantified"] = only_result(
+        cross_validate_bags(specs, bags, corpus.labels, corpus.label_set, plan)
     ).mean_accuracy
     return out
 
@@ -385,11 +385,11 @@ def overlap_scores():
         tokens_per_doc=(15, 25), operator_skew=0.3, text_overlap=0.65,
     )
     plan = make_folds(len(corpus.documents), 3, seed=0)
-    clf = ClassifierSpec("logreg")
+    specs = [ClassifierSpec("logreg")]
     out = {"n_docs": len(corpus.documents), "n_classes": len(corpus.label_set)}
     for name in ("text_tfidf", "textmath_opid_tfidf", "math_id_tfidf", "text_embedding"):
         spec = parse_encoding_name(name, OVERLAP_EMBEDDING)
-        out[name] = cross_validate(clf, spec, corpus, plan).mean_accuracy
+        out[name] = only_result(cross_validate(specs, spec, corpus, plan)).mean_accuracy
     return out
 
 

@@ -216,6 +216,19 @@ class TestPrediction:
 
 
 
+class TestRealParams:
+    @pytest.mark.parametrize(
+        "algo,params",
+        [
+            ("logreg", {"C": 1e-300, "tol": 0}),
+            ("linear_svc", {"C": np.float64(2)}),
+            ("mlp", {"step": 1, "beta1": 0, "beta2": 0.0, "tol": 0.0}),
+        ],
+    )
+    def test_boundary_values_are_kept(self, algo, params):
+        assert ClassifierSpec(algo, params=params).params.items() >= params.items()
+
+
 class TestForestParams:
     @pytest.mark.parametrize(
         "params",

@@ -19,6 +19,7 @@ from textmath.cli import (
     run_experiment,
 )
 from textmath.errors import ConfigError
+from tests.conftest import only_result
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MINI_MANIFEST = Path(textmath.__file__).parent / "data" / "mini_corpus" / "manifest.json"
@@ -120,6 +121,37 @@ class TestConfigValidation:
             ({"lexicon": {"path": 5}}, "lexicon.path: must be a path"),
             ({"lexicon": {"path": "x.tsv", "top_n": 2.5}}, "lexicon.top_n"),
             ({"granularity": "document"}, "granularity: unknown config key"),
+            ({"classifiers": [{"algo": "logreg", "params": {"C": 0}}]},
+             r"logreg\.C must be a finite number in \(0, inf\), got 0$"),
+            ({"classifiers": [{"algo": "logreg", "params": {"C": math.inf}}]}, "logreg.C"),
+            ({"classifiers": [{"algo": "logreg", "params": {"C": True}}]},
+             "logreg.C must be a number"),
+            ({"classifiers": [{"algo": "linear_svc", "params": {"C": -1}}]}, "linear_svc.C"),
+            ({"classifiers": [{"algo": "logreg", "params": {"tol": -1e-9}}]},
+             r"logreg\.tol must be a finite number in \[0, inf\)"),
+            ({"classifiers": [{"algo": "mlp", "params": {"tol": "0.1"}}]},
+             "mlp.tol must be a number"),
+            ({"classifiers": [{"algo": "mlp", "params": {"step": 0}}]}, "mlp.step"),
+            ({"classifiers": [{"algo": "mlp", "params": {"step": "0.1"}}]},
+             "mlp.step must be a number"),
+            ({"classifiers": [{"algo": "mlp", "params": {"beta1": None}}]},
+             "mlp.beta1 must be a number"),
+            ({"classifiers": [{"algo": "mlp", "params": {"beta1": -0.5}}]}, "mlp.beta1"),
+            ({"classifiers": [{"algo": "mlp", "params": {"beta1": 1.0}}]},
+             r"mlp\.beta1 must be a finite number in \[0, 1\), got 1\.0$"),
+            ({"classifiers": [{"algo": "mlp", "params": {"beta2": -0.1}}]}, "mlp.beta2"),
+            ({"classifiers": [{"algo": "mlp", "params": {"beta2": math.nan}}]}, "mlp.beta2"),
+            ({"clusterers": [{"algo": "gmm", "k": 3, "params": {"cov_floor": -1}}]},
+             r"gmm\.cov_floor must be a finite number in \(0, inf\)"),
+            ({"clusterers": [{"algo": "gmm", "k": 3, "params": {"cov_floor": 0}}]},
+             "gmm.cov_floor"),
+            ({"clusterers": [{"algo": "gmm", "k": 3, "params": {"tol": math.nan}}]}, "gmm.tol"),
+            ({"clusterers": [{"algo": "affinity", "params": {"damping": 1}}]},
+             r"affinity\.damping must be a finite number in \[0, 1\)"),
+            ({"clusterers": [{"algo": "meanshift", "params": {"quantile": 0}}]},
+             r"meanshift\.quantile must be a finite number in \(0, 1\]"),
+            ({"classifiers": [{"algo": "randforest", "params": {"bootstrap": 1}}]},
+             "randforest.bootstrap must be true or false"),
         ],
     )
     def test_bad_configs_name_the_field(self, tmp_path, overrides, match):
@@ -399,9 +431,11 @@ class TestClassificationGrid:
         for clf in config.classifiers:
             for name in config.encodings:
                 encoding = parse_encoding_name(name, emb)
-                oracles[(name, clf.algo)] = cross_validate(clf, encoding, corpus, plan)
-            oracles[("semantified_tfidf", clf.algo)] = cross_validate_bags(
-                clf, bags, corpus.labels, corpus.label_set, plan
+                oracles[(name, clf.algo)] = only_result(
+                    cross_validate([clf], encoding, corpus, plan)
+                )
+            oracles[("semantified_tfidf", clf.algo)] = only_result(
+                cross_validate_bags([clf], bags, corpus.labels, corpus.label_set, plan)
             )
         rows = [*config.encodings, "semantified_tfidf"]
         cols = [clf.algo for clf in config.classifiers]

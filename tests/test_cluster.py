@@ -21,6 +21,12 @@ from textmath.cluster import DEFAULT_PARAMS
 from tests.conftest import make_blobs, make_matrix
 
 
+def gmm_from_kmeans(X, k, params, seed):
+    """``_fit_gmm`` from the default k-means start with ``seed``, as a row's
+    gmm column starts."""
+    return cluster._fit_gmm(X, k, params, cluster._fit_kmeans(X, k, DEFAULT_PARAMS["kmeans"], seed))
+
+
 def partition_sets(assignment):
     """Cluster structure as a relabeling-invariant set of frozen id sets."""
     groups = {}
@@ -73,6 +79,7 @@ class TestSpecValidation:
         ClustererSpec("kmeans", k=2, params={"max_iter": 1, "n_restarts": 1})
         ClustererSpec("affinity", params={"damping": 0.0, "stable_iters": 1})
         ClustererSpec("meanshift", params={"quantile": 1})
+        ClustererSpec("gmm", k=2, params={"tol": 0, "cov_floor": 1e-300})
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -175,7 +182,7 @@ class TestGmm:
 
     def test_loglik_monotone(self, far_blobs):
         X, _ = far_blobs
-        _, state = cluster._fit_gmm(X.features, 2, DEFAULT_PARAMS["gmm"], 0)
+        _, state = gmm_from_kmeans(X.features, 2, DEFAULT_PARAMS["gmm"], 0)
         hist = state["loglik_history"]
         assert len(hist) >= 2
         assert all(b >= a_ - 1e-8 for a_, b in zip(hist, hist[1:]))
@@ -183,7 +190,7 @@ class TestGmm:
     def test_single_component_density_closed_form(self):
         rng = np.random.default_rng(4)
         X = rng.normal(2.0, 1.5, size=(40, 3))
-        _, state = cluster._fit_gmm(X, 1, DEFAULT_PARAMS["gmm"], 0)
+        _, state = gmm_from_kmeans(X, 1, DEFAULT_PARAMS["gmm"], 0)
         mean = np.asarray(state["means"][0])
         var = np.asarray(state["variances"][0])
         got = ref_gmm_loglik(state, mean[None, :])
@@ -192,7 +199,7 @@ class TestGmm:
 
     def test_responsibilities_confident_on_blobs(self, far_blobs):
         X, y = far_blobs
-        _, state = cluster._fit_gmm(X.features, 2, DEFAULT_PARAMS["gmm"], 0)
+        _, state = gmm_from_kmeans(X.features, 2, DEFAULT_PARAMS["gmm"], 0)
         means = np.asarray(state["means"])
         variances = np.asarray(state["variances"])
         weights = np.asarray(state["weights"])
@@ -216,19 +223,19 @@ class TestGmm:
     def test_converged_when_tol_is_met_on_the_last_allowed_step(self, far_blobs):
         X, _ = far_blobs
         params = {**DEFAULT_PARAMS["gmm"], "max_iter": 1}
-        _, state = cluster._fit_gmm(X.features, 2, params, 0)
+        _, state = gmm_from_kmeans(X.features, 2, params, 0)
         hist = state["loglik_history"]
         assert len(hist) == 2 and hist[1] - hist[0] == 0.0
         assert state["converged"] is True
 
     def test_converged_flag_on_both_sides_of_max_iter(self):
         X, _ = make_blobs([[0, 0], [4, 0], [0, 4], [4, 4]], n_per=15, scale=1.2, seed=2)
-        _, state = cluster._fit_gmm(X, 4, DEFAULT_PARAMS["gmm"], 0)
+        _, state = gmm_from_kmeans(X, 4, DEFAULT_PARAMS["gmm"], 0)
         steps = len(state["loglik_history"]) - 1
         assert state["converged"] is True and 1 < steps < DEFAULT_PARAMS["gmm"]["max_iter"]
         for max_iter, converged in ((steps, True), (steps - 1, False)):
             params = {**DEFAULT_PARAMS["gmm"], "max_iter": max_iter}
-            _, state = cluster._fit_gmm(X, 4, params, 0)
+            _, state = gmm_from_kmeans(X, 4, params, 0)
             assert len(state["loglik_history"]) - 1 == max_iter
             assert state["converged"] is converged
 
@@ -361,7 +368,7 @@ class TestKmeansHandOff:
         own = fit_predict_clusterer(ClustererSpec("kmeans", k=3, seed=1), self.blobs())
         assert got["kmeans"].cluster_ids == own.cluster_ids
         assert got["kmeans"].diagnostics == own.diagnostics
-        want, state = cluster._fit_gmm(X.features, 3, DEFAULT_PARAMS["gmm"], 1)
+        want, state = gmm_from_kmeans(X.features, 3, DEFAULT_PARAMS["gmm"], 1)
         assert got["gmm"].cluster_ids == cluster._dense_relabel(want)[0]
         assert same_bits(got["gmm"].diagnostics["loglik_history"], state["loglik_history"])
 
@@ -399,7 +406,7 @@ class TestKmeansHandOff:
             **a.diagnostics,
             "inertia_history": a.diagnostics["inertia_history"][:-1],
         }
-        (assign, diag), = X._cluster_memo[1].values()
+        (assign, diag), = X.memo().values()
         for array in (assign, diag["centers"]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -725,9 +732,9 @@ class TestAgainstReference:
             if len(np.unique(km_assign)) < k:
                 # The reference would run EM on an empty component's NaNs.
                 with pytest.raises(KExceedsSamplesError, match=f"k={k}"):
-                    cluster._fit_gmm(X, k, DEFAULT_PARAMS["gmm"], seed)
+                    gmm_from_kmeans(X, k, DEFAULT_PARAMS["gmm"], seed)
                 continue
-            assign, state = cluster._fit_gmm(X, k, DEFAULT_PARAMS["gmm"], seed)
+            assign, state = gmm_from_kmeans(X, k, DEFAULT_PARAMS["gmm"], seed)
             want, ref = ref_fit_gmm(X, k, DEFAULT_PARAMS["gmm"], seed)
             assert same_bits(assign, want)
             assert same_bits(state["loglik_history"], ref["loglik_history"])

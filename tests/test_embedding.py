@@ -185,7 +185,7 @@ class TestParams:
     @pytest.mark.parametrize("field", ["initial_alpha", "min_alpha", "alpha_decay_per_epoch"])
     @pytest.mark.parametrize("value", ["0.1", True, None])
     def test_non_number_float_fields_rejected(self, field, value):
-        with pytest.raises(TypeError, match=f"EmbeddingParams.{field} must be a number"):
+        with pytest.raises(ValueError, match=f"EmbeddingParams.{field} must be a number"):
             EmbeddingParams(**{field: value})
 
     def test_float_boundaries_accepted(self):

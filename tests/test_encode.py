@@ -187,6 +187,20 @@ class TestEncodedMatrix:
         assert (m1 == m2) is False
         assert m1 != m2
 
+    def test_clustering_and_correlation_share_one_memo(self):
+        from textmath import ClustererSpec, fit_predict_clusterer, text_math_correlation
+
+        rng = np.random.default_rng(3)
+        X, Y = make_matrix(rng.normal(size=(9, 4))), make_matrix(rng.normal(size=(9, 3)))
+        fit_predict_clusterer(ClustererSpec("kmeans", k=2, pca_dims=2), X)
+        text_math_correlation(X, Y)
+        memo = X.memo()
+        kinds = sorted(key if isinstance(key, str) else key[0] for key in memo)
+        assert kinds == ["correlation", "kmeans", "pca"]
+        assert X.memo() is memo
+        X.features = X.features.copy()
+        assert X.memo() == {}
+
     def test_csv_round_trip_values(self, tmp_path):
         m = make_matrix(np.array([[0.25, -1.5], [1e-17, 3.0]]), ids=["a", "b"])
         path = tmp_path / "m.csv"

@@ -48,10 +48,10 @@ from textmath.encode import (
     token_stream,
     transform_tfidf,
 )
-from textmath.evaluate import encoding_folds, normalize_runtimes, row_folds, score_folds
+from textmath.evaluate import normalize_runtimes, row_folds, score_folds
 from textmath.semantify import MODES
 from textmath.synth import class_lexicon_tsv
-from tests.conftest import make_matrix
+from tests.conftest import make_matrix, only_result
 
 
 def brute_force_macro_purity(cluster_ids, labels):
@@ -228,9 +228,9 @@ class TestTextMathCorrelation:
         a = make_matrix(rng.normal(size=(8, 4)))
         b = make_matrix(rng.normal(size=(8, 4)))
         first = text_math_correlation(a, b)
-        memo = a._correlation_terms
+        terms = a.memo()["correlation"]
         assert text_math_correlation(a, b) == first
-        assert a._correlation_terms is memo
+        assert a.memo()["correlation"] is terms
         a.features = b.features.copy()
         assert text_math_correlation(a, b) == pytest.approx(1.0, abs=1e-12)
         assert first != pytest.approx(1.0, abs=1e-6)
@@ -467,16 +467,18 @@ def small_corpus():
 class TestCrossValidate:
     def test_separable_text_high_accuracy(self, small_corpus):
         plan = make_folds(len(small_corpus.documents), 4, seed=0)
-        result = cross_validate(
-            ClassifierSpec("logreg"), EncodingSpec("text", "tfidf"), small_corpus, plan
+        specs = [ClassifierSpec("logreg")]
+        result = only_result(
+            cross_validate(specs, EncodingSpec("text", "tfidf"), small_corpus, plan)
         )
         assert result.mean_accuracy >= 0.95
         assert result.confusion.total == len(small_corpus.documents)
 
     def test_mean_is_unweighted_fold_mean(self, small_corpus):
         plan = make_folds(len(small_corpus.documents), 5, seed=1)
-        result = cross_validate(
-            ClassifierSpec("knn"), EncodingSpec("text", "tfidf"), small_corpus, plan
+        specs = [ClassifierSpec("knn")]
+        result = only_result(
+            cross_validate(specs, EncodingSpec("text", "tfidf"), small_corpus, plan)
         )
         assert result.mean_accuracy == pytest.approx(
             np.mean(result.fold_accuracies), abs=1e-12
@@ -488,8 +490,9 @@ class TestCrossValidate:
         shuffled = list(rng.permutation(labels))
         bags = [d.text_tokens for d in small_corpus.documents]
         plan = make_folds(len(bags), 4, seed=2)
-        result = cross_validate_bags(
-            ClassifierSpec("logreg"), bags, shuffled, small_corpus.label_set, plan
+        specs = [ClassifierSpec("logreg")]
+        result = only_result(
+            cross_validate_bags(specs, bags, shuffled, small_corpus.label_set, plan)
         )
         p = 1 / 4
         sigma = math.sqrt(p * (1 - p) / len(bags))
@@ -501,14 +504,60 @@ class TestCrossValidate:
         bags2 = bags + bags
         labels2 = labels + labels
         plan = make_folds(len(bags2), 2, seed=0)
-        result = cross_validate_bags(
-            ClassifierSpec("knn", params={"k": 1}),
-            bags2,
-            labels2,
-            small_corpus.label_set,
-            plan,
+        result = only_result(
+            cross_validate_bags(
+                [ClassifierSpec("knn", params={"k": 1})],
+                bags2,
+                labels2,
+                small_corpus.label_set,
+                plan,
+            )
         )
         assert result.mean_accuracy == 1.0
+
+    def test_source_that_fails_to_build_goes_to_every_spec(self, small_corpus):
+        class BrokenChannels:
+            def source(self, spec):
+                raise RuntimeError(f"no {spec.name} source")
+
+        plan = make_folds(len(small_corpus.documents), 3, seed=0)
+        outcomes = cross_validate(
+            [ClassifierSpec("knn"), ClassifierSpec("logreg")],
+            EncodingSpec("text", "tfidf"),
+            small_corpus,
+            plan,
+            BrokenChannels(),
+        )
+        assert [str(o) for o in outcomes] == ["no text_tfidf source"] * 2
+        assert outcomes[0] is outcomes[1]
+
+    def test_bags_are_read_once_from_any_iterable(self, small_corpus):
+        bags = [d.text_tokens for d in small_corpus.documents]
+        plan = make_folds(len(bags), 3, seed=4)
+        specs = [ClassifierSpec("knn"), ClassifierSpec("dectree")]
+        args = (small_corpus.labels, small_corpus.label_set, plan)
+        reads = []
+
+        def generated():
+            for bag in bags:
+                reads.append(bag)
+                yield bag
+
+        from_list = cross_validate_bags(specs, bags, *args)
+        from_generator = cross_validate_bags(specs, generated(), *args)
+        assert len(reads) == len(bags)
+        for got, want in zip(from_generator, from_list):
+            assert got.fold_accuracies == want.fold_accuracies
+            np.testing.assert_array_equal(got.confusion.counts, want.confusion.counts)
+
+    def test_labels_must_cover_every_bag(self, small_corpus):
+        bags = [d.text_tokens for d in small_corpus.documents]
+        plan = make_folds(len(bags), 3, seed=0)
+        n = len(bags)
+        with pytest.raises(LengthMismatchError, match=f"^{n} bags vs {n - 1} labels$"):
+            cross_validate_bags(
+                [ClassifierSpec("knn")], bags, small_corpus.labels[1:], small_corpus.label_set, plan
+            )
 
 
 def reference_cross_validate(spec, plan, labels, label_set, encode_fold):
@@ -558,15 +607,15 @@ class TestSharedFolds:
                        for d in held_out]
             return X_train, encoder.transform(streams, [d.id for d in held_out])
 
-        outcomes = score_folds(
-            self.SPECS, encoding_folds(encoding, small_corpus, plan), labels, small_corpus.label_set
-        )
+        outcomes = cross_validate(self.SPECS, encoding, small_corpus, plan)
         for spec, outcome in zip(self.SPECS, outcomes):
             reference = reference_cross_validate(
                 spec, plan, labels, small_corpus.label_set, encode_fold
             )
             assert_same_result(outcome, reference)
-            assert_same_result(cross_validate(spec, encoding, small_corpus, plan), reference)
+            assert_same_result(
+                only_result(cross_validate([spec], encoding, small_corpus, plan)), reference
+            )
             assert outcome.fit_predict_seconds > 0.0
 
     def test_bags_match_the_per_classifier_loop(self, small_corpus):
@@ -583,15 +632,14 @@ class TestSharedFolds:
 
         for spec, outcome in zip(
             self.SPECS,
-            score_folds(self.SPECS, self.bag_folds(bags, plan), labels, small_corpus.label_set),
+            cross_validate_bags(self.SPECS, bags, labels, small_corpus.label_set, plan),
         ):
             reference = reference_cross_validate(
                 spec, plan, labels, small_corpus.label_set, encode_fold
             )
             assert_same_result(outcome, reference)
-            assert_same_result(
-                cross_validate_bags(spec, bags, labels, small_corpus.label_set, plan), reference
-            )
+            one = cross_validate_bags([spec], bags, labels, small_corpus.label_set, plan)
+            assert_same_result(only_result(one), reference)
 
     @staticmethod
     def failing_fit(monkeypatch, algo, call):
@@ -660,16 +708,18 @@ class TestSharedFolds:
         assert str(outcome) == "knn broke"
         assert len(built) == 1
 
-    def test_plan_must_cover_every_sample(self, small_corpus):
+    def test_plan_must_cover_every_sample(self, small_corpus, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(evaluate, "fit_rows", lambda *args: fitted.append(args))
         plan = make_folds(len(small_corpus.documents) - 1, 3, seed=0)
+        specs = [ClassifierSpec("knn")]
         with pytest.raises(LengthMismatchError):
-            cross_validate(ClassifierSpec("knn"), EncodingSpec("text", "tfidf"), small_corpus, plan)
+            cross_validate(specs, EncodingSpec("text", "tfidf"), small_corpus, plan)
         # a bag the plan does not cover would never be held out
         bags = [d.text_tokens for d in small_corpus.documents]
         with pytest.raises(LengthMismatchError):
-            cross_validate_bags(
-                ClassifierSpec("knn"), bags, small_corpus.labels, small_corpus.label_set, plan
-            )
+            cross_validate_bags(specs, bags, small_corpus.labels, small_corpus.label_set, plan)
+        assert fitted == []  # raised before any fold
 
 
 # --- tf-idf from counts ------------------------------------------------------------
@@ -732,7 +782,7 @@ class TestCountPath:
         same_matrix(full, transform_tfidf(fit_tfidf(streams), streams, corpus.ids))
         assert full.spec == spec
         plan = make_folds(len(streams), 5, seed=3)
-        folds = list(encoding_folds(spec, corpus, plan, channels))
+        folds = list(row_folds(spec, channels.source(spec), corpus.ids, plan))
         assert len(folds) == 5
         for fold, (train, test) in zip(folds, oracle_folds(streams, corpus.ids, plan)):
             same_matrix(fold.X_train, train)

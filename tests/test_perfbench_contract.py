@@ -94,6 +94,10 @@ def test_traced_run_feeds_every_count_hook(perfbench, tmp_path):
     # One wrapped ``cli.fit_encoder`` call per row: a run that stops calling
     # the wrapped name fails here, not as a skewed benchmark metric.
     assert values["encode.fit_calls"] == 2
+    # The grid scores its encoding rows through ``cli.cross_validate`` and its
+    # semantified row through ``cli.cross_validate_bags``, for the same reason.
+    assert values["evaluate.cv_s"] > 0
+    assert values["evaluate.cv_bags_s"] > 0
 
 
 def test_workload_set_up_and_input_size(perfbench, tmp_path):
