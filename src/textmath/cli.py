@@ -24,7 +24,7 @@ from .classify import ALGOS as CLASSIFIER_ALGOS
 from .classify import ClassifierSpec
 from .cluster import ALGOS as CLUSTERER_ALGOS
 from .cluster import ClusterAssignment, ClustererSpec, dump_assignment, fit_predict_clusterer
-from .corpus import Corpus, dump_corpus_jsonl, load_corpus, load_corpus_jsonl
+from .corpus import FORMAT_CONTAINERS, Corpus, dump_corpus_jsonl, load_corpus, load_corpus_jsonl
 from .embedding import EmbeddingParams
 from .encode import Channels, EncodingSpec, fit_encoder, parse_encoding_name
 from .errors import ConfigError, TextMathError, check_int
@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared-identifiers", type=int, default=8)
     p.add_argument("--operator-skew", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", default="html_math", choices=("html_math", "tei_formula"))
+    p.add_argument("--format", default="html_math", choices=tuple(FORMAT_CONTAINERS))
     p.add_argument("--output-dir", required=True)
     p.add_argument("--with-lexicon", action="store_true")
     p.set_defaults(fn=_cmd_synth)

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .encode import EncodedMatrix, pca_reduce
+from .encode import EncodedMatrix, fit_pca
 from .errors import KExceedsSamplesError, check_int, merge_params
 
 FIXED_K_ALGOS = ("kmeans", "agglomerative", "gmm")
@@ -409,7 +409,9 @@ def _fit_affinity(
 # --- mean shift -----------------------------------------------------------------
 
 
-def estimate_bandwidth(X: np.ndarray, quantile: float = 0.3) -> float:
+def estimate_bandwidth(
+    X: np.ndarray, quantile: float = DEFAULT_PARAMS["meanshift"]["quantile"]
+) -> float:
     """Mean over samples of the distance to their ceil(quantile*n)-th neighbor."""
     n = X.shape[0]
     if n < 2:
@@ -480,7 +482,7 @@ def _reduced(X: EncodedMatrix, dims: int | None) -> np.ndarray:
         return X.features
     memo = X.memo()
     if ("pca", dims) not in memo:
-        features = pca_reduce(X, dims).features
+        features = fit_pca(X.features, dims).transform(X.features)
         features.flags.writeable = False
         memo[("pca", dims)] = features
     return memo[("pca", dims)]

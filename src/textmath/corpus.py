@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 # Not a word character, so it can never leak into cleaned tokens.
 PLACEHOLDER = "￼"
 
+# Every markup format, with the element that holds its formulas.
 FORMAT_CONTAINERS = {"html_math": "math", "tei_formula": "formula"}
 
 MIN_TOKEN_LEN = 3
@@ -231,13 +232,19 @@ def parse_document(raw_markup: str, format: str, id: str, label: str) -> Documen
     return _parse_document(raw_markup, format, id, label, _Cleaner(default_stopwords()))
 
 
-def _parse_document(
-    raw_markup: str, format: str, id: str, label: str, cleaner: _Cleaner
-) -> Document:
+def format_container(format: str) -> str:
+    """The formula container element of a markup format; raises
+    :class:`UnknownFormatError` for an unrecognized format name."""
     container = FORMAT_CONTAINERS.get(format)
     if container is None:
         raise UnknownFormatError(f"unknown document format {format!r}")
+    return container
 
+
+def _parse_document(
+    raw_markup: str, format: str, id: str, label: str, cleaner: _Cleaner
+) -> Document:
+    container = format_container(format)
     root = _parse_markup(raw_markup, id)
     # NFC never composes across the placeholder (a starter with no
     # compositions), so normalising each segment normalises the whole text.

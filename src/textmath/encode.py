@@ -10,12 +10,14 @@ Two encoding methods are supported over seven content channels:
 Math tokens are namespaced (``op:``/``id:`` prefixes) so that combined
 text+math channels can never collide with cleaned text tokens.
 
-Tf-idf is a reweighting of term counts. A run counts each of four base
+Tf-idf is a reweighting of term counts, and it has one implementation:
+``fit_tfidf`` fits the vocabulary and idf on rows of a ``TokenCounts`` and
+``transform_tfidf`` weighs rows of one. A run counts each of four base
 channels once (text, ``op:``, ``id:`` and surroundings; ``Channels``), as
 an integer matrix whose columns are the sorted tokens. A combined content's
 counts are its parts' counts summed over the union vocabulary, and every
-tf-idf matrix, full-corpus or one side of a fold, is a slice of them: the
-fitting rows give the kept columns and their idf.
+tf-idf matrix, full-corpus or one side of a fold, is taken from them. New
+token streams are counted first (``count_streams``).
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -175,13 +178,18 @@ class EncodedMatrix:
 class TokenCounts:
     """Term counts of token streams: ``counts[i, j]`` is how often
     ``names[j]`` occurs in stream i. Names are sorted, so every tf-idf matrix
-    sliced from the counts has its columns in sorted token order."""
+    taken from the counts has its columns in sorted token order."""
 
     names: list[str]
     counts: np.ndarray  # n_streams x len(names), int32
 
     def __len__(self) -> int:
         return self.counts.shape[0]
+
+    @cached_property
+    def column(self) -> dict[str, int]:
+        """Each name's column."""
+        return {tok: j for j, tok in enumerate(self.names)}
 
 
 def count_streams(streams: Iterable[list[str]]) -> TokenCounts:
@@ -196,86 +204,72 @@ def count_streams(streams: Iterable[list[str]]) -> TokenCounts:
         counts += tally.values()
         sizes.append(len(tally))
     names = sorted(set(tokens))
-    column = {tok: j for j, tok in enumerate(names)}
-    matrix = np.zeros((len(sizes), len(names)), dtype=np.int32)
-    matrix[np.repeat(np.arange(len(sizes)), sizes), [column[t] for t in tokens]] = counts
-    return TokenCounts(names, matrix)
+    result = TokenCounts(names, np.zeros((len(sizes), len(names)), dtype=np.int32))
+    column = result.column
+    result.counts[np.repeat(np.arange(len(sizes)), sizes), [column[t] for t in tokens]] = counts
+    return result
 
 
 def merge_counts(parts: list[TokenCounts]) -> TokenCounts:
     """The counts of each row's streams concatenated: the parts' counts,
     summed over the union of their vocabularies."""
     names = sorted(set().union(*(part.names for part in parts)))
-    column = {tok: j for j, tok in enumerate(names)}
-    matrix = np.zeros((len(parts[0]), len(names)), dtype=np.int32)
+    result = TokenCounts(names, np.zeros((len(parts[0]), len(names)), dtype=np.int32))
     for part in parts:
-        matrix[:, [column[t] for t in part.names]] += part.counts
-    return TokenCounts(names, matrix)
+        result.counts[:, [result.column[t] for t in part.names]] += part.counts
+    return result
 
 
 @dataclass
 class TfidfModel:
-    """Vocabulary and smoothed idf weights fitted on a set of token bags."""
+    """Vocabulary and smoothed idf weights fitted on rows of token counts."""
 
     vocabulary: dict[str, int]
     idf: np.ndarray
 
 
-def _fit_columns(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of a count matrix that occur in some row, and their idf
-    over its N rows: idf(t) = ln((1+N)/(1+df(t))) + 1, by ``math.log``."""
-    n = counts.shape[0]
+def fit_tfidf(counts: TokenCounts, rows: np.ndarray) -> TfidfModel:
+    """Fit vocabulary and idf weights on ``rows`` of ``counts``. The
+    vocabulary is the tokens that occur in those rows, in sorted order, so
+    repeated runs produce identical matrices; over their N rows,
+    idf(t) = ln((1+N)/(1+df(t))) + 1, by ``math.log``."""
+    fitted = counts.counts[rows]
+    n = fitted.shape[0]
     if n == 0:
         raise ValueError("bags must be non-empty")
-    df = np.count_nonzero(counts, axis=0)
+    df = np.count_nonzero(fitted, axis=0)
     columns = np.flatnonzero(df)
     if columns.size == 0:
         raise AllBagsEmptyError("all token bags are empty")
     idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df[columns].tolist()])
-    return columns, idf
-
-
-def _weigh(counts: np.ndarray, idf: np.ndarray) -> np.ndarray:
-    """L2-normalized count × idf rows; all-zero rows stay zero. A column
-    slice of a count matrix is Fortran-ordered, and its row norms differ
-    from a C-ordered copy's in the last bit, so the copy is taken first."""
-    mat = np.ascontiguousarray(counts) * idf
-    norms = np.linalg.norm(mat, axis=1)
-    nonzero = norms > 0
-    mat[nonzero] /= norms[nonzero, None]
-    return mat
-
-
-def fit_tfidf(bags: list[list[str]]) -> TfidfModel:
-    """Fit vocabulary and idf weights: idf(t) = ln((1+N)/(1+df(t))) + 1.
-
-    Columns are assigned in sorted token order so repeated runs produce
-    identical matrices.
-    """
-    counts = count_streams(bags)
-    _, idf = _fit_columns(counts.counts)  # every counted token occurs in some bag
-    return TfidfModel(vocabulary={tok: j for j, tok in enumerate(counts.names)}, idf=idf)
+    return TfidfModel({counts.names[j]: i for i, j in enumerate(columns.tolist())}, idf)
 
 
 def transform_tfidf(
     model: TfidfModel,
-    bags: list[list[str]],
-    sample_ids: list[str] | None = None,
+    counts: TokenCounts,
+    rows: np.ndarray,
+    sample_ids: list[str],
     spec: EncodingSpec | None = None,
 ) -> EncodedMatrix:
-    """Encode bags as L2-normalized count × idf rows; unseen tokens ignored."""
-    if sample_ids is None:
-        sample_ids = [str(i) for i in range(len(bags))]
-    counts = count_streams(bags)
-    seen = [j for j, tok in enumerate(counts.names) if tok in model.vocabulary]
-    aligned = np.zeros((len(bags), len(model.vocabulary)), dtype=np.int32)
-    aligned[:, [model.vocabulary[counts.names[j]] for j in seen]] = counts.counts[:, seen]
+    """Encode ``rows`` of ``counts`` as L2-normalized count × idf rows over
+    the model's vocabulary; ``sample_ids`` covers all rows of ``counts``. The
+    model's tokens are found in ``counts`` by name: tokens the model does not
+    know are ignored, and a model token ``counts`` lacks is a zero column. An
+    all-zero row stays zero."""
     names = sorted(model.vocabulary, key=model.vocabulary.get)
+    columns = [counts.column.get(tok, -1) for tok in names]
+    source = counts.counts[rows]
+    if -1 in columns:  # column -1 of the padded counts is all zeros
+        source = np.hstack([source, np.zeros((len(source), 1), dtype=source.dtype)])
+    # ``take`` returns a C-ordered copy. The row norms of a Fortran-ordered
+    # matrix (a column slice) differ from a C-ordered one's in the last bit.
+    mat = source.take(columns, axis=1) * model.idf
+    norms = np.linalg.norm(mat, axis=1)
+    nonzero = norms > 0
+    mat[nonzero] /= norms[nonzero, None]
     return EncodedMatrix(
-        spec=spec,
-        sample_ids=list(sample_ids),
-        features=_weigh(aligned, model.idf),
-        feature_names=names,
+        spec=spec, sample_ids=[sample_ids[i] for i in rows], features=mat, feature_names=names
     )
 
 
@@ -331,35 +325,26 @@ def pca_reduce(m: EncodedMatrix, target_dims: int) -> EncodedMatrix:
 @dataclass
 class FittedEncoder:
     """A fitted tf-idf or embedding encoder. ``transform`` encodes new token
-    streams; ``transform_rows`` encodes rows of the source it was fitted on."""
+    streams; ``transform_rows`` encodes rows of a source (counts for tf-idf,
+    token streams for an embedding)."""
 
     spec: EncodingSpec | None
     tfidf: TfidfModel | None = None
     embedding: EmbeddingModel | None = None
-    # The source's count columns a tf-idf fit keeps: those of its vocabulary.
-    columns: np.ndarray | None = None
 
     def transform(self, streams: list[list[str]], sample_ids: list[str]) -> EncodedMatrix:
-        if self.embedding is None:
-            return transform_tfidf(self.tfidf, streams, sample_ids=sample_ids, spec=self.spec)
-        rows = np.stack([infer_doc_vector(self.embedding, s) for s in streams]) if streams else (
-            np.zeros((0, self.embedding.params.size))
-        )
-        return EncodedMatrix(spec=self.spec, sample_ids=list(sample_ids), features=rows)
+        source = count_streams(streams) if self.embedding is None else streams
+        return self.transform_rows(source, np.arange(len(source)), sample_ids)
 
     def transform_rows(
         self, source: Source, rows: np.ndarray, sample_ids: list[str]
     ) -> EncodedMatrix:
         """Encode ``rows`` of ``source``; ``sample_ids`` covers all of its rows."""
-        ids = [sample_ids[i] for i in rows]
-        if self.embedding is not None:
-            return self.transform([source[i] for i in rows], ids)
-        return EncodedMatrix(
-            spec=self.spec,
-            sample_ids=ids,
-            features=_weigh(source.counts[rows][:, self.columns], self.tfidf.idf),
-            feature_names=[source.names[j] for j in self.columns],
-        )
+        if self.embedding is None:
+            return transform_tfidf(self.tfidf, source, rows, sample_ids, self.spec)
+        vectors = [infer_doc_vector(self.embedding, source[i]) for i in rows]
+        features = np.stack(vectors) if vectors else np.zeros((0, self.embedding.params.size))
+        return EncodedMatrix(self.spec, [sample_ids[i] for i in rows], features)
 
 
 # What an encoder is fitted on: counts for tf-idf, token streams for embeddings.
@@ -371,16 +356,14 @@ def fit_rows(
 ) -> tuple[FittedEncoder, EncodedMatrix]:
     """Fit an encoder on ``rows`` of ``source`` and return it with their matrix.
 
-    Tf-idf (``spec=None`` is plain tf-idf) is fitted on a ``TokenCounts``:
-    the vocabulary is the columns that occur in those rows, with their idf
-    over those rows. An embedding is trained on the rows' token streams; its
-    training matrix holds the trained document vectors, and other rows are
-    later inferred with frozen word vectors.
+    Tf-idf (``spec=None`` is plain tf-idf) is fitted on a ``TokenCounts`` by
+    ``fit_tfidf`` and encodes the rows by ``transform_tfidf``. An embedding is
+    trained on the rows' token streams; its training matrix holds the trained
+    document vectors, and other rows are later inferred with frozen word
+    vectors.
     """
     if spec is None or spec.method == "tfidf":
-        columns, idf = _fit_columns(source.counts[rows])
-        vocabulary = {source.names[j]: i for i, j in enumerate(columns)}
-        encoder = FittedEncoder(spec=spec, tfidf=TfidfModel(vocabulary, idf), columns=columns)
+        encoder = FittedEncoder(spec=spec, tfidf=fit_tfidf(source, rows))
         return encoder, encoder.transform_rows(source, rows, sample_ids)
     encoder = FittedEncoder(
         spec=spec, embedding=train_embedding([source[i] for i in rows], spec.embedding_params)

@@ -11,10 +11,12 @@ tf-idf row's token counts (``encode.Channels``; the semantified bags are
 counted the same way) or an embedding row's token streams. The encoder is
 refitted on each training fold's rows before the held-out rows are encoded,
 so no vocabulary or embedding information leaks across the split; a tf-idf
-fold is a slice of the row's counts. Every classifier in the row is fitted
-and scored on that fold's shared matrices. Purity comes in two
-flavors: the macro mean over clusters (headline) and the sample-weighted
-variant, which differ exactly when cluster sizes are uneven.
+fold fits ``encode.fit_tfidf`` on its training rows of the counts and
+weighs both sides by ``encode.transform_tfidf``. Every classifier in the
+row is fitted and scored on that fold's shared matrices. Purity comes in
+two flavors: the macro mean over clusters (headline) and the
+sample-weighted variant, which differ exactly when cluster sizes are
+uneven.
 """
 from __future__ import annotations
 
@@ -299,22 +301,6 @@ def weighted_purity(assignment: ClusterAssignment | Sequence[int], labels: Seque
 
 
 # --- similarity correlation -------------------------------------------------------
-
-
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape:
-        raise LengthMismatchError(f"{xs.shape} vs {ys.shape}")
-    if len(xs) < 2:
-        raise ValueError("need at least 2 points")
-    xc = xs - xs.mean()
-    yc = ys - ys.mean()
-    sx = np.sqrt((xc * xc).sum())
-    sy = np.sqrt((yc * yc).sum())
-    if sx == 0.0 or sy == 0.0:
-        raise ZeroVarianceError("one series is constant, correlation undefined")
-    return float((xc * yc).sum() / (sx * sy))
 
 
 # A series whose variance term is at most this fraction of its scale counts as

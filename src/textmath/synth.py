@@ -18,7 +18,15 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .corpus import PLACEHOLDER, Corpus, Document, Formula, _Cleaner, default_stopwords
+from .corpus import (
+    PLACEHOLDER,
+    Corpus,
+    Document,
+    Formula,
+    _Cleaner,
+    default_stopwords,
+    format_container,
+)
 
 OPERATOR_POOL = ["=", "+", "−", "×", "<", ">", "≤", "∈", "∑", "∫"]
 
@@ -119,16 +127,16 @@ def generate_synthetic_corpus(
             else:
                 words = [vocab[int(w)] for w in word_ids]
             n_formulas = int(rng.integers(formulas_per_doc[0], formulas_per_doc[1] + 1))
-            slots = np.sort(rng.integers(0, n_tok + 1, size=n_formulas))
+            slots = rng.integers(0, n_tok + 1, size=n_formulas)
+            # How many formulas go before word s (after the last word at n_tok).
+            per_slot = np.bincount(slots, minlength=n_tok + 1).tolist()
 
             pieces: list[str] = []
             formulas: list[Formula] = []
             pos = 0
             word_i = 0
             for s in range(n_tok + 1):
-                for slot in slots:
-                    if slot != s:
-                        continue
+                for _ in range(per_slot[s]):
                     if pieces:
                         pieces.append(" ")
                         pos += 1
@@ -196,8 +204,9 @@ def class_lexicon_tsv(corpus: Corpus, path: str | Path, names_per_symbol: int = 
 
 def render_markup(doc: Document, format: str = "html_math") -> str:
     """Serialize a document back to container markup (inverse of parsing,
-    up to whitespace in the formula regions)."""
-    container = {"html_math": "math", "tei_formula": "formula"}[format]
+    up to whitespace in the formula regions). Raises
+    :class:`UnknownFormatError` for an unrecognized format name."""
+    container = format_container(format)
     parts = doc.raw_text.split(PLACEHOLDER)
     if len(parts) != len(doc.formulas) + 1:
         raise ValueError("placeholder count does not match formula count")
@@ -215,7 +224,9 @@ def render_markup(doc: Document, format: str = "html_math") -> str:
 
 def write_corpus_markup(corpus: Corpus, out_dir: str | Path, format: str = "html_math") -> Path:
     """Write one markup file per document plus a manifest; returns the
-    manifest path."""
+    manifest path. An unrecognized format name raises
+    :class:`UnknownFormatError` before anything is written."""
+    format_container(format)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

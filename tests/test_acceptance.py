@@ -13,13 +13,13 @@ import pytest
 
 from textmath import (
     EmbeddingParams,
+    count_streams,
     cross_validate,
     cross_validate_bags,
     fit_tfidf,
     generate_synthetic_corpus,
     load_lexicon,
     make_folds,
-    pearson,
     purity,
     text_math_correlation,
     transform_tfidf,
@@ -29,7 +29,7 @@ from textmath.cli import load_experiment_config, run_experiment
 from textmath.cluster import ClustererSpec, fit_predict_clusterer
 from textmath.encode import parse_encoding_name
 from textmath.synth import class_lexicon_tsv
-from tests.conftest import make_matrix, only_result
+from tests.conftest import make_matrix, only_result, pearson
 from tests.test_classify import central_diff
 from tests.test_cli import MINI_MANIFEST, write_config
 from tests.test_encode import naive_tfidf
@@ -103,8 +103,9 @@ def mini_runs(tmp_path_factory):
 
 def test_01_tfidf_matches_hand_computation_and_naive_reference():
     failures = []
-    model = fit_tfidf([["alpha", "beta", "alpha"], ["alpha", "gamma"]])
-    row = transform_tfidf(model, [["alpha", "beta", "alpha"]]).features[0]
+    model = fit_tfidf(count_streams([["alpha", "beta", "alpha"], ["alpha", "gamma"]]), [0, 1])
+    held_out = count_streams([["alpha", "beta", "alpha"]])
+    row = transform_tfidf(model, held_out, [0], ["d0"]).features[0]
     got_alpha = row[model.vocabulary["alpha"]]
     got_beta = row[model.vocabulary["beta"]]
     idf_beta = math.log(1.5) + 1.0
@@ -128,7 +129,8 @@ def test_01_tfidf_matches_hand_computation_and_naive_reference():
         ]
         if not any(bags):
             continue
-        got = transform_tfidf(fit_tfidf(bags), bags).features
+        counts, rows = count_streams(bags), np.arange(n_docs)
+        got = transform_tfidf(fit_tfidf(counts, rows), counts, rows, list(map(str, rows))).features
         if not np.array_equal(got, naive_tfidf(bags, bags)):
             mismatches += 1
     if mismatches:

@@ -724,13 +724,13 @@ class TestClusteringGrid:
         projection; every cell's files equal those of a grid that has that
         column alone."""
         dims = []
-        original = cluster.pca_reduce
+        original = cluster.fit_pca
 
-        def counting(m, target_dims):
+        def counting(X, target_dims):
             dims.append(target_dims)
-            return original(m, target_dims)
+            return original(X, target_dims)
 
-        monkeypatch.setattr(cluster, "pca_reduce", counting)
+        monkeypatch.setattr(cluster, "fit_pca", counting)
         encodings = ["text_tfidf", "math_id_tfidf", "math_opid_tfidf"]
         columns = {
             algo: {"algo": algo, "k": 3, "pca_dims": 5} for algo in ("kmeans", "agglomerative", "gmm")

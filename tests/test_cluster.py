@@ -304,6 +304,12 @@ class TestMeanshift:
         assert bw > 0
         assert estimate_bandwidth(3.0 * X) == pytest.approx(3.0 * bw, rel=1e-9)
 
+    def test_bandwidth_default_is_the_meanshift_default(self):
+        X = np.random.default_rng(9).normal(size=(30, 2))
+        quantile = DEFAULT_PARAMS["meanshift"]["quantile"]
+        assert estimate_bandwidth(X) == estimate_bandwidth(X, quantile)
+        assert estimate_bandwidth(X) != estimate_bandwidth(X, quantile / 2)
+
 
 class TestSharedInvariants:
     SPECS = [

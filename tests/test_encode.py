@@ -14,6 +14,7 @@ from textmath import (
     EncodedMatrix,
     EncodingSpec,
     clean_text,
+    count_streams,
     fit_encoder,
     fit_pca,
     fit_tfidf,
@@ -23,8 +24,25 @@ from textmath import (
     transform_tfidf,
 )
 from textmath.embedding import EmbeddingParams, train_embedding
-from textmath.encode import FittedEncoder, count_streams, fit_rows
-from tests.conftest import formula, make_doc, make_matrix
+from textmath.encode import FittedEncoder, fit_rows
+from tests.conftest import (
+    formula,
+    make_doc,
+    make_matrix,
+    stream_fit_tfidf,
+    stream_transform_tfidf,
+)
+
+
+def tfidf_over(bags):
+    """``fit_tfidf`` on every row of the bags' counts."""
+    return fit_tfidf(count_streams(bags), np.arange(len(bags)))
+
+
+def encode_bags(model, bags):
+    """``transform_tfidf`` of every row of the bags' counts."""
+    ids = [str(i) for i in range(len(bags))]
+    return transform_tfidf(model, count_streams(bags), np.arange(len(bags)), ids)
 
 
 def naive_tfidf(fit_bags, bags):
@@ -104,23 +122,23 @@ class TestTokenStream:
 
 class TestTfidf:
     def test_idf_fixture(self):
-        model = fit_tfidf([["alpha", "beta", "alpha"], ["alpha", "gamma"]])
+        model = tfidf_over([["alpha", "beta", "alpha"], ["alpha", "gamma"]])
         by_name = {t: model.idf[c] for t, c in model.vocabulary.items()}
         assert by_name["alpha"] == pytest.approx(1.0, abs=1e-12)
         assert by_name["beta"] == pytest.approx(math.log(1.5) + 1, abs=1e-12)
         assert by_name["gamma"] == pytest.approx(math.log(1.5) + 1, abs=1e-12)
 
     def test_single_bag_idf_one(self):
-        model = fit_tfidf([["alpha", "beta"]])
+        model = tfidf_over([["alpha", "beta"]])
         np.testing.assert_allclose(model.idf, 1.0, atol=1e-12)
 
     def test_everywhere_token_idf_one(self):
-        model = fit_tfidf([["alpha", "x"], ["alpha", "y"], ["alpha", "z"]])
+        model = tfidf_over([["alpha", "x"], ["alpha", "y"], ["alpha", "z"]])
         assert model.idf[model.vocabulary["alpha"]] == pytest.approx(1.0, abs=1e-12)
 
     def test_transform_fixture(self):
-        model = fit_tfidf([["alpha", "beta", "alpha"], ["alpha", "gamma"]])
-        m = transform_tfidf(model, [["alpha", "beta", "alpha"]])
+        model = tfidf_over([["alpha", "beta", "alpha"], ["alpha", "gamma"]])
+        m = encode_bags(model, [["alpha", "beta", "alpha"]])
         row = {t: m.features[0, c] for t, c in model.vocabulary.items()}
         unnorm_alpha = 2.0
         unnorm_beta = math.log(1.5) + 1
@@ -130,23 +148,23 @@ class TestTfidf:
         assert row["gamma"] == 0.0
 
     def test_empty_bag_zero_row(self):
-        model = fit_tfidf([["alpha"], ["beta"]])
-        m = transform_tfidf(model, [[]])
+        model = tfidf_over([["alpha"], ["beta"]])
+        m = encode_bags(model, [[]])
         np.testing.assert_array_equal(m.features, 0.0)
 
     def test_unseen_only_bag_zero_row(self):
-        model = fit_tfidf([["alpha"], ["beta"]])
-        m = transform_tfidf(model, [["zeta", "omega"]])
+        model = tfidf_over([["alpha"], ["beta"]])
+        m = encode_bags(model, [["zeta", "omega"]])
         np.testing.assert_array_equal(m.features, 0.0)
 
     def test_all_bags_empty_error(self):
         with pytest.raises(AllBagsEmptyError):
-            fit_tfidf([[], []])
+            tfidf_over([[], []])
 
     def test_rows_unit_norm(self):
         rng = random.Random(3)
         bags = [[f"t{rng.randint(0, 20)}" for _ in range(rng.randint(1, 30))] for _ in range(15)]
-        m = transform_tfidf(fit_tfidf(bags), bags)
+        m = encode_bags(tfidf_over(bags), bags)
         norms = np.linalg.norm(m.features, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
@@ -160,12 +178,48 @@ class TestTfidf:
             ]
             if not any(bags):
                 continue
-            got = transform_tfidf(fit_tfidf(bags), bags).features
+            got = encode_bags(tfidf_over(bags), bags).features
             np.testing.assert_array_equal(got, naive_tfidf(bags, bags))
 
     def test_column_order_is_sorted_vocabulary(self):
-        model = fit_tfidf([["zeta", "alpha", "mid"]])
+        model = tfidf_over([["zeta", "alpha", "mid"]])
         assert sorted(model.vocabulary, key=model.vocabulary.get) == ["alpha", "mid", "zeta"]
+
+    def test_no_rows_is_a_value_error(self):
+        with pytest.raises(ValueError, match="bags must be non-empty"):
+            fit_tfidf(count_streams([["alpha"]]), np.arange(0))
+
+    def test_rows_of_counts_match_the_stream_oracle(self):
+        """A fit on some rows keeps only their tokens, and a transform finds
+        the model's tokens by name in other counts: a token those counts
+        lack is a zero column, and one the model lacks is ignored."""
+        rng = random.Random(5)
+        for _ in range(100):
+            bags = [
+                [f"t{rng.randint(0, 12)}" for _ in range(rng.randint(0, 9))]
+                for _ in range(rng.randint(2, 9))
+            ]
+            rows = np.array(sorted(rng.sample(range(len(bags)), rng.randint(1, len(bags)))))
+            fitted = [bags[i] for i in rows]
+            if not any(fitted):
+                continue
+            counts = count_streams(bags)
+            model = fit_tfidf(counts, rows)
+            oracle = stream_fit_tfidf(fitted)
+            assert model.vocabulary == oracle.vocabulary
+            np.testing.assert_array_equal(model.idf, oracle.idf)
+            ids = [f"b{i}" for i in range(len(bags))]
+            others = count_streams(bags[::-1])
+            for got, want in (
+                (transform_tfidf(model, counts, rows, ids), stream_transform_tfidf(oracle, fitted)),
+                (
+                    transform_tfidf(model, others, np.arange(len(bags)), ids[::-1]),
+                    stream_transform_tfidf(oracle, bags[::-1]),
+                ),
+            ):
+                np.testing.assert_array_equal(got.features, want.features)
+                assert got.feature_names == want.feature_names
+            assert got.sample_ids == ids[::-1]
 
 
 class TestEncodedMatrix:
@@ -293,23 +347,25 @@ class TestFittedEncoder:
     ])
     def test_fit_encoder_fits_the_token_streams(self, tiny_corpus, spec):
         """fit_encoder equals the encoder fitted on the documents' token
-        streams: tf-idf by fit_tfidf and transform_tfidf, embeddings by
+        streams: tf-idf by the stream oracle, embeddings by
         train_embedding; held-out streams transform alike."""
         docs = tiny_corpus.documents
         streams = [token_stream(d, spec.content) for d in docs]
         ids = [d.id for d in docs]
         encoder, m_train = fit_encoder(spec, docs[:8])
         if spec.method == "tfidf":
-            oracle = FittedEncoder(spec, tfidf=fit_tfidf(streams[:8]))
-            assert encoder.tfidf.vocabulary == oracle.tfidf.vocabulary
-            expected = transform_tfidf(oracle.tfidf, streams[:8], ids[:8], spec)
+            model = stream_fit_tfidf(streams[:8])
+            assert encoder.tfidf.vocabulary == model.vocabulary
+            expected = stream_transform_tfidf(model, streams[:8], ids[:8], spec)
+            held_out = stream_transform_tfidf(model, streams[8:], ids[8:], spec)
         else:
             model = train_embedding(streams[:8], spec.embedding_params)
             oracle = FittedEncoder(spec, embedding=model)
             expected = EncodedMatrix(spec, ids[:8], oracle.embedding.doc_vectors)
+            held_out = oracle.transform(streams[8:], ids[8:])
         for got, want in (
             (m_train, expected),
-            (encoder.transform(streams[8:], ids[8:]), oracle.transform(streams[8:], ids[8:])),
+            (encoder.transform(streams[8:], ids[8:]), held_out),
         ):
             np.testing.assert_array_equal(got.features, want.features)
             assert got.feature_names == want.feature_names
@@ -321,10 +377,10 @@ class TestFittedEncoder:
         counts = count_streams(bags)
         encoder, m_train = fit_rows(None, counts, np.arange(2), ["a", "b", "c"])
         m_test = encoder.transform_rows(counts, np.array([2]), ["a", "b", "c"])
-        tfidf = fit_tfidf(bags[:2])
+        tfidf = tfidf_over(bags[:2])
         for got, expected, ids in (
-            (m_train, transform_tfidf(tfidf, bags[:2]), ["a", "b"]),
-            (m_test, transform_tfidf(tfidf, bags[2:]), ["c"]),
+            (m_train, encode_bags(tfidf, bags[:2]), ["a", "b"]),
+            (m_test, encode_bags(tfidf, bags[2:]), ["c"]),
         ):
             np.testing.assert_array_equal(got.features, expected.features)
             assert got.feature_names == expected.feature_names

@@ -30,7 +30,6 @@ from textmath import (
     load_corpus,
     load_lexicon,
     make_folds,
-    pearson,
     purity,
     text_math_correlation,
     weighted_purity,
@@ -43,15 +42,19 @@ from textmath.encode import (
     count_streams,
     fit_encoder,
     fit_rows,
-    fit_tfidf,
     merge_counts,
     token_stream,
-    transform_tfidf,
 )
 from textmath.evaluate import normalize_runtimes, row_folds, score_folds
 from textmath.semantify import MODES
 from textmath.synth import class_lexicon_tsv
-from tests.conftest import make_matrix, only_result
+from tests.conftest import (
+    make_matrix,
+    only_result,
+    pearson,
+    stream_fit_tfidf,
+    stream_transform_tfidf,
+)
 
 
 def brute_force_macro_purity(cluster_ids, labels):
@@ -624,10 +627,10 @@ class TestSharedFolds:
         plan = make_folds(len(bags), 3, seed=2)
 
         def encode_fold(train_idx, test_idx):
-            tfidf = fit_tfidf([bags[i] for i in train_idx])
+            tfidf = stream_fit_tfidf([bags[i] for i in train_idx])
             return (
-                transform_tfidf(tfidf, [bags[i] for i in train_idx]),
-                transform_tfidf(tfidf, [bags[i] for i in test_idx]),
+                stream_transform_tfidf(tfidf, [bags[i] for i in train_idx]),
+                stream_transform_tfidf(tfidf, [bags[i] for i in test_idx]),
             )
 
         for spec, outcome in zip(
@@ -737,14 +740,14 @@ def same_matrix(got, want):
 
 
 def oracle_folds(bags, ids, plan):
-    """(train, test) matrices of each fold by fit_tfidf and transform_tfidf
-    on the bags themselves."""
+    """(train, test) matrices of each fold by the stream oracle on the bags
+    themselves."""
     for fold in range(plan.n_folds):
         test_idx = plan.fold_indices(fold)
         train_idx = np.setdiff1d(np.arange(len(bags)), test_idx)
-        model = fit_tfidf([bags[i] for i in train_idx])
+        model = stream_fit_tfidf([bags[i] for i in train_idx])
         yield tuple(
-            transform_tfidf(model, [bags[i] for i in idx], [ids[i] for i in idx])
+            stream_transform_tfidf(model, [bags[i] for i in idx], [ids[i] for i in idx])
             for idx in (train_idx, test_idx)
         )
 
@@ -764,8 +767,8 @@ def oracle_folds_or_errors(bags, ids, plan):
 
 
 class TestCountPath:
-    """Every tf-idf matrix is a slice of one count matrix per channel. It
-    equals fit_tfidf + transform_tfidf on the token streams: the full-corpus
+    """Every tf-idf matrix is taken from one count matrix per channel. It
+    equals the stream oracle's tf-idf of the token streams: the full-corpus
     matrix and both sides of every fold."""
 
     @pytest.fixture(scope="class")
@@ -779,7 +782,7 @@ class TestCountPath:
         spec = EncodingSpec(content, "tfidf")
         streams = [token_stream(d, content, stopwords=corpus.stopwords) for d in corpus.documents]
         _, full = fit_encoder(spec, corpus.documents, corpus.stopwords, channels=channels)
-        same_matrix(full, transform_tfidf(fit_tfidf(streams), streams, corpus.ids))
+        same_matrix(full, stream_transform_tfidf(stream_fit_tfidf(streams), streams, corpus.ids))
         assert full.spec == spec
         plan = make_folds(len(streams), 5, seed=3)
         folds = list(row_folds(spec, channels.source(spec), corpus.ids, plan))
@@ -796,7 +799,7 @@ class TestCountPath:
         bags = [enrich(d, lex, 2, mode) for d in corpus.documents]
         counts = count_streams(bags)
         _, full = fit_rows(None, counts, np.arange(len(bags)), corpus.ids)
-        same_matrix(full, transform_tfidf(fit_tfidf(bags), bags, corpus.ids))
+        same_matrix(full, stream_transform_tfidf(stream_fit_tfidf(bags), bags, corpus.ids))
         plan = make_folds(len(bags), 4, seed=1)
         for fold, (train, test) in zip(
             row_folds(None, counts, corpus.ids, plan), oracle_folds(bags, corpus.ids, plan)
@@ -843,5 +846,5 @@ class TestCountPath:
         with pytest.raises(AllBagsEmptyError, match="^all token bags are empty$"):
             fit_rows(None, counts, np.array([0, 1]), ["r0", "r1", "r2"])
         with pytest.raises(AllBagsEmptyError, match="^all token bags are empty$"):
-            fit_tfidf([[], []])
+            stream_fit_tfidf([[], []])
 

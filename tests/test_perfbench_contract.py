@@ -98,6 +98,9 @@ def test_traced_run_feeds_every_count_hook(perfbench, tmp_path):
     # semantified row through ``cli.cross_validate_bags``, for the same reason.
     assert values["evaluate.cv_s"] > 0
     assert values["evaluate.cv_bags_s"] > 0
+    # Every tf-idf matrix, full-corpus or one side of a fold, comes from the
+    # wrapped ``encode.transform_tfidf``.
+    assert values["encode.transform_s"] > 0
 
 
 def test_workload_set_up_and_input_size(perfbench, tmp_path):

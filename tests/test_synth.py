@@ -8,12 +8,16 @@ import pytest
 import textmath
 from textmath import (
     Lexicon,
+    UnknownFormatError,
     generate_synthetic_corpus,
     load_corpus,
     load_lexicon,
+    parse_document,
     render_markup,
     write_corpus_markup,
 )
+from textmath.cli import build_parser
+from textmath.corpus import FORMAT_CONTAINERS
 from textmath.synth import OPERATOR_POOL, class_lexicon_tsv
 
 
@@ -192,6 +196,24 @@ class TestMarkupRoundTrip:
         assert html.count("<math>") == len(doc.formulas)
         assert tei.count("<formula>") == len(doc.formulas)
         assert "<math>" not in tei
+
+    def test_unknown_format_is_the_parser_error(self, corpus, tmp_path):
+        """Rendering, writing and parsing read one format table, so an
+        unknown name raises the parser's error and writes nothing; the
+        ``synth`` subcommand offers exactly the table's names."""
+        with pytest.raises(UnknownFormatError, match="'bogus'"):
+            render_markup(corpus.documents[0], "bogus")
+        with pytest.raises(UnknownFormatError, match="'bogus'"):
+            write_corpus_markup(corpus, tmp_path / "out", "bogus")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(UnknownFormatError, match="'bogus'"):
+            parse_document("<article/>", "bogus", "d0", "x")
+        parser = build_parser()
+        for format in FORMAT_CONTAINERS:
+            args = parser.parse_args(["synth", "--format", format, "--output-dir", "out"])
+            assert args.format == format
+        with pytest.raises(SystemExit):
+            parser.parse_args(["synth", "--format", "bogus", "--output-dir", "out"])
 
     def test_manifest_lists_every_document(self, corpus, tmp_path):
         manifest = write_corpus_markup(corpus, tmp_path, "html_math")
