@@ -12,7 +12,9 @@ formula's offset counts the normalised text.
 Each document is tokenised once, over its raw text: a token is a maximal run
 of word characters, so a formula (its placeholder is not a word character)
 ends a word. The surroundings of a formula are every whole word that
-overlaps its window.
+overlaps its window. ``extract_surroundings`` lists them window by window;
+``surroundings_coverage`` gives each kept token once, with the number of
+windows that hold it.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate, islice
 from pathlib import Path
 
 from .errors import (
@@ -49,7 +52,9 @@ FORMAT_CONTAINERS = {"html_math": "math", "tei_formula": "formula"}
 
 MIN_TOKEN_LEN = 3
 
-_TOKEN_RE = re.compile(r"\w+")
+# Captured, so ``split`` returns the runs between the tokens as well: pieces
+# alternate non-token, token, ..., non-token. ``findall`` returns the tokens.
+_TOKEN_RE = re.compile(r"(\w+)")
 
 
 @lru_cache(maxsize=1)
@@ -193,16 +198,30 @@ def _local_name(tag: object) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _collect_symbols(elem: ET.Element, symbols: list[tuple[str, str]]) -> None:
-    name = _local_name(elem.tag)
-    if name in ("mo", "mi"):
-        # Nested markup inside mo/mi: concatenate descendant character data.
-        text = unicodedata.normalize("NFC", "".join(elem.itertext())).strip()
+def _collect_symbols(container: ET.Element, offset: int) -> Formula:
+    """The operators and identifiers of one formula element, in one walk
+    over its elements. A ``mo``/``mi`` with nested markup is the
+    concatenation of its descendants' character data, and its descendants
+    are not visited on their own."""
+    operators: list[str] = []
+    identifiers: list[str] = []
+    order: list[str] = []
+    walk = container.iter()
+    for elem in walk:
+        name = _local_name(elem.tag)
+        if name != "mo" and name != "mi":
+            continue
+        if len(elem):
+            text = "".join(elem.itertext())
+            descendants = sum(1 for _ in elem.iter()) - 1
+            next(islice(walk, descendants, descendants), None)  # skip them
+        else:
+            text = elem.text or ""
+        text = unicodedata.normalize("NFC", text).strip()
         if text:
-            symbols.append(("o" if name == "mo" else "i", text))
-        return
-    for child in elem:
-        _collect_symbols(child, symbols)
+            (operators if name == "mo" else identifiers).append(text)
+            order.append("o" if name == "mo" else "i")
+    return Formula(operators, identifiers, offset, "".join(order))
 
 
 def _parse_markup(raw_markup: str, id: str) -> ET.Element:
@@ -260,18 +279,9 @@ def _parse_document(
     def visit(elem: ET.Element) -> None:
         nonlocal pos
         if _local_name(elem.tag) == container:
-            symbols: list[tuple[str, str]] = []
-            _collect_symbols(elem, symbols)
             end_segment()
             pos += len(segments[-1])
-            formulas.append(
-                Formula(
-                    operators=[t for k, t in symbols if k == "o"],
-                    identifiers=[t for k, t in symbols if k == "i"],
-                    offset=pos,
-                    order="".join(k for k, _ in symbols),
-                )
-            )
+            formulas.append(_collect_symbols(elem, pos))
             pos += 1
             return
         if elem.text:
@@ -297,34 +307,28 @@ class _TokenIndex:
 
     ``starts`` and ``ends`` are the raw-text spans of every token, a maximal
     run of word characters; ``kept`` holds the tokens that cleaning keeps, in
-    order, so it equals ``clean_text(raw_text, stopwords)`` for NFC text. The
-    offsets and counts are C ints (``array('i')``), 4 bytes each where a
-    list of Python ints takes about 36; every loaded document keeps its
-    index for the run.
+    order, so it equals ``clean_text(raw_text, stopwords)`` for NFC text, and
+    ``kept_before[i]`` counts the kept tokens among the first i tokens. All
+    of it comes from one ``split`` of the text. The offsets and counts are C
+    ints (``array('i')``), 4 bytes each where a list of Python ints takes
+    about 36; every loaded document keeps its index for the run.
     """
 
     def __init__(self, raw_text: str, cleaner: _Cleaner) -> None:
-        starts: list[int] = []
-        ends: list[int] = []
-        self.kept: list[str] = []  # the tokens cleaning keeps, in order
-        kept_before = [0]  # kept tokens among the first i tokens
-        for match in _TOKEN_RE.finditer(raw_text):
-            starts.append(match.start())
-            ends.append(match.end())
-            tok = cleaner[match.group()]
-            if tok is not None:
-                self.kept.append(tok)
-            kept_before.append(len(self.kept))
-        # Appending to a list and converting once is faster than array.append.
-        self.starts = array("i", starts)
-        self.ends = array("i", ends)
-        self.kept_before = array("i", kept_before)
+        pieces = _TOKEN_RE.split(raw_text)  # non-token, token, ..., non-token
+        bounds = list(accumulate(map(len, pieces)))  # where each piece ends
+        self.starts = array("i", bounds[:-1:2])
+        self.ends = array("i", bounds[1::2])
+        cleaned = list(map(cleaner.__getitem__, pieces[1::2]))
+        self.kept: list[str] = list(filter(None, cleaned))
+        self.kept_before = array("i", accumulate(map(bool, cleaned), initial=0))
 
-    def window(self, lo: int, hi: int) -> list[str]:
-        """The kept tokens that overlap ``raw_text[lo:hi]``, whole, in order."""
+    def span(self, lo: int, hi: int) -> tuple[int, int]:
+        """The slice of ``kept`` whose tokens overlap ``raw_text[lo:hi]``;
+        ``lo`` may be negative and ``hi`` past the end."""
         first = bisect_right(self.ends, lo)  # tokens ending at or before lo
         stop = bisect_left(self.starts, hi)  # tokens starting before hi
-        return self.kept[self.kept_before[first] : self.kept_before[stop]]
+        return self.kept_before[first], self.kept_before[stop]
 
 
 def _token_index(doc: Document, stopwords: frozenset[str]) -> _TokenIndex:
@@ -333,6 +337,21 @@ def _token_index(doc: Document, stopwords: frozenset[str]) -> _TokenIndex:
     if stopwords not in doc._token_indexes:
         doc._token_indexes[stopwords] = _TokenIndex(doc.raw_text, _Cleaner(stopwords))
     return doc._token_indexes[stopwords]
+
+
+def _window_spans(
+    doc: Document, window: int, stopwords: frozenset[str] | set[str] | None
+) -> tuple[list[str], list[tuple[int, int]]]:
+    """The document's kept tokens under ``stopwords``, and for each formula
+    with an identifier, in order, the slice of them its window holds. The
+    window is ``raw_text`` within ``window`` characters on each side of the
+    formula's placeholder, and holds every whole word that overlaps it."""
+    check_int("window", window, 1)
+    stopwords = default_stopwords() if stopwords is None else frozenset(stopwords)
+    index = _token_index(doc, stopwords)
+    span = index.span
+    spans = [span(f.offset - window, f.offset + window + 1) for f in doc.formulas if f.identifiers]
+    return index.kept, spans
 
 
 def extract_surroundings(
@@ -350,20 +369,35 @@ def extract_surroundings(
     that overlaps it, cleaned as ``clean_text`` cleans it; a formula ends a
     word, and every token is one of the document's text tokens under the
     same stopwords. Words inside the windows of several formulas are
-    repeated once per window.
+    repeated once per window, so the bag grows with formulas × window; its
+    counts come cheaper from ``surroundings_coverage``, which is how a run
+    counts the surroundings channel. The bag itself is built only for an
+    embedding, which reads tokens in order.
     """
-    check_int("window", window, 1)
-    stopwords = default_stopwords() if stopwords is None else frozenset(stopwords)
-    index = _token_index(doc, stopwords)
-    n = len(doc.raw_text)
+    kept, spans = _window_spans(doc, window, stopwords)
     out: list[str] = []
-    for formula in doc.formulas:
-        if not formula.identifiers:
-            continue
-        lo = max(0, formula.offset - window)
-        hi = min(n, formula.offset + window + 1)
-        out.extend(index.window(lo, hi))
+    for a, b in spans:
+        out += kept[a:b]
     return out
+
+
+def surroundings_coverage(
+    doc: Document,
+    window: int = 500,
+    stopwords: frozenset[str] | set[str] | None = None,
+) -> tuple[list[str], list[int]]:
+    """The document's kept text tokens under ``stopwords``, and for each, the
+    number of formula windows that hold it: how often it occurs in
+    ``extract_surroundings(doc, window, stopwords)``, which repeats it once
+    per window. The windows are the same; the multiplicities come from a
+    difference array over their spans, in time linear in the text and the
+    formulas, however much the windows overlap."""
+    kept, spans = _window_spans(doc, window, stopwords)
+    steps = [0] * (len(kept) + 1)
+    for a, b in spans:
+        steps[a] += 1
+        steps[b] -= 1
+    return kept, list(accumulate(steps[:-1]))
 
 
 # --- manifest ingestion -------------------------------------------------

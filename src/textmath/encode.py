@@ -14,26 +14,33 @@ Tf-idf is a reweighting of term counts, and it has one implementation:
 ``fit_tfidf`` fits the vocabulary and idf on rows of a ``TokenCounts`` and
 ``transform_tfidf`` weighs rows of one. A run counts each of four base
 channels once (text, ``op:``, ``id:`` and surroundings; ``Channels``), as
-an integer matrix whose columns are the sorted tokens. A combined content's
-counts are its parts' counts summed over the union vocabulary, and every
-tf-idf matrix, full-corpus or one side of a fold, is taken from them. New
-token streams are counted first (``count_streams``).
+an integer matrix whose columns are the sorted tokens; the surroundings
+are counted from each document's window coverage, not from a stream that
+repeats a word once per window. A combined content's counts are its parts'
+counts summed over the union vocabulary, and every tf-idf matrix,
+full-corpus or one side of a fold, is taken from them. New token streams
+are counted first (``count_streams``).
 """
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat, tee
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, extract_surroundings
+from .corpus import Document, extract_surroundings, surroundings_coverage
 from .embedding import EmbeddingModel, EmbeddingParams, infer_doc_vector, train_embedding
-from .errors import AllBagsEmptyError, DegenerateInputError
+from .errors import (
+    AllBagsEmptyError,
+    DegenerateInputError,
+    DimensionMismatchError,
+    NonFiniteFeaturesError,
+)
 
 CONTENTS = (
     "text",
@@ -127,11 +134,11 @@ class EncodedMatrix:
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
+            raise DimensionMismatchError("features must be a 2-D matrix")
         if self.features.shape[0] != len(self.sample_ids):
-            raise ValueError("row count does not match sample_ids")
+            raise DimensionMismatchError("row count does not match sample_ids")
         if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain NaN or Inf")
+            raise NonFiniteFeaturesError("features contain NaN or Inf")
 
     def memo(self) -> dict[Any, Any]:
         """Values computed from the current ``features`` array and kept with
@@ -192,22 +199,49 @@ class TokenCounts:
         return {tok: j for j, tok in enumerate(self.names)}
 
 
-def count_streams(streams: Iterable[list[str]]) -> TokenCounts:
-    """Count each stream's tokens. Each stream is read once and not kept, so
-    ``streams`` may be a generator that builds them one at a time."""
-    tokens: list[str] = []
-    counts: list[int] = []
-    sizes: list[int] = []
-    for stream in streams:
-        tally = Counter(stream)
-        tokens += tally
-        counts += tally.values()
-        sizes.append(len(tally))
-    names = sorted(set(tokens))
-    result = TokenCounts(names, np.zeros((len(sizes), len(names)), dtype=np.int32))
-    column = result.column
-    result.counts[np.repeat(np.arange(len(sizes)), sizes), [column[t] for t in tokens]] = counts
+def count_streams(
+    streams: Iterable[Sequence[str]], multiplicities: Iterable[Sequence[int]] | None = None
+) -> TokenCounts:
+    """Count each stream's tokens, one row per stream.
+
+    With ``multiplicities``, one non-negative sequence per stream, read in
+    step with ``streams``, each occurrence of a token counts as many times
+    as its multiplicity says, so a row of (tokens, multiplicities) counts
+    like the stream that repeats each token that often; without it, every
+    occurrence counts once. A token whose occurrences all have multiplicity
+    0 gets no column. ``streams`` is read once and no stream is kept, so it
+    may be a generator that builds them one at a time.
+    """
+    ids = _Ids()
+    occurrences: list[int] = []  # the id of every counted token, row by row
+    times: list[int] = []  # the multiplicity of each, when given
+    ends = [0]  # where each row's occurrences end
+    for tokens, row_times in zip(
+        streams, repeat(None) if multiplicities is None else multiplicities
+    ):
+        if row_times is not None:
+            tokens = compress(tokens, row_times)
+            times += filter(None, row_times)
+        occurrences += map(ids.__getitem__, tokens)
+        ends.append(len(occurrences))
+    names = sorted(ids)
+    column = np.empty(len(names), np.intp)  # each id's column
+    column[[ids[tok] for tok in names]] = np.arange(len(names))
+    columns = column[np.array(occurrences, np.intp)]
+    weights = np.array(times, np.intp) if multiplicities is not None else None
+    result = TokenCounts(names, np.zeros((len(ends) - 1, len(names)), np.int32))
+    for row, lo, hi in zip(result.counts, ends, ends[1:]):
+        row_weights = None if weights is None else weights[lo:hi]
+        row[:] = np.bincount(columns[lo:hi], row_weights, len(names))
     return result
+
+
+class _Ids(dict):
+    """Each token's id, given in order of first lookup."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = id = len(self)
+        return id
 
 
 def merge_counts(parts: list[TokenCounts]) -> TokenCounts:
@@ -394,10 +428,15 @@ class Channels:
     ``op:``, ``id:`` and surroundings), which every tf-idf content sums,
     and the token streams of the contents that embedding rows read.
 
-    ``specs`` are the encodings the run will fit; the streams of a base
-    channel that an embedding row reads are kept and counted, so they are
-    built once. A base channel whose build fails is built again when next
-    asked for, so every row made from it fails alike.
+    The surroundings are counted from each document's window coverage
+    (``surroundings_coverage``): its kept tokens, each with the number of
+    windows that hold it, so the work is linear in the text, not in
+    formulas × window. Their streams (``extract_surroundings``) are built
+    only for an embedding row, which reads them. ``specs`` are the
+    encodings the run will fit; the streams of another base channel that an
+    embedding row reads are kept and counted, so they are built once. A
+    base channel whose build fails is built again when next asked for, so
+    every row made from it fails alike.
     """
 
     def __init__(
@@ -428,11 +467,16 @@ class Channels:
 
     def _base_counts(self, base: str) -> TokenCounts:
         if base not in self._counts:
-            if base in self._embedded:
-                streams = self.streams(base)
+            if base == "math_surroundings":
+                a, b = tee(surroundings_coverage(d, stopwords=self.stopwords) for d in self.docs)
+                counts = count_streams((kept for kept, _ in a), (m for _, m in b))
+            elif base in self._embedded:
+                counts = count_streams(self.streams(base))
             else:
-                streams = (token_stream(d, base, stopwords=self.stopwords) for d in self.docs)
-            self._counts[base] = count_streams(streams)
+                counts = count_streams(
+                    token_stream(d, base, stopwords=self.stopwords) for d in self.docs
+                )
+            self._counts[base] = counts
         return self._counts[base]
 
 

@@ -101,13 +101,19 @@ class DegenerateInputError(TextMathError):
     """Input matrix has no variance to reduce."""
 
 
+class NonFiniteFeaturesError(TextMathError):
+    """A feature matrix holds NaN or Inf."""
+
+
 # classify
 class SingleClassTrainingError(TextMathError):
     """Training data contains fewer than two distinct labels."""
 
 
 class DimensionMismatchError(TextMathError):
-    """Feature count of the input does not match the fitted model."""
+    """A matrix has the wrong shape: its feature count does not match the
+    fitted model, it is not 2-D, or its row count does not match its
+    sample ids."""
 
 
 # cluster

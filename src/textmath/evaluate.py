@@ -313,8 +313,12 @@ _GRAM_BLOCK = 128
 class _PairTerms(NamedTuple):
     """One matrix's own terms of the text-math correlation. With U its unit
     rows, m their mean and W = U - m, the cosine of rows i and j is
-    a_ij = |m|^2 + g_ij, where g_ij = s_i + s_j + w_i·w_j and s = W m."""
+    a_ij = |m|^2 + g_ij, where g_ij = s_i + s_j + w_i·w_j and s = W m.
 
+    W itself is not kept: it is as large as the matrix. The row lengths
+    are, so a later pair rebuilds W with one divide and one subtract."""
+
+    lengths: np.ndarray  # |x_i|, or 1 for an all-zero row, which stays zero
     mean: np.ndarray  # m
     s: np.ndarray  # W m
     diag: np.ndarray  # g_ii = 2 s_i + |w_i|^2
@@ -324,12 +328,11 @@ class _PairTerms(NamedTuple):
 
 
 def _centred_rows(
-    features: np.ndarray, mean: np.ndarray | None = None
+    features: np.ndarray, lengths: np.ndarray, mean: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(W, m): the rows scaled to unit length (all-zero rows stay zero), less
-    ``mean``, which is by default the mean of the unit rows."""
-    norms = np.linalg.norm(features, axis=1)
-    W = features / np.where(norms > 0, norms, 1.0)[:, None]
+    """(W, m): the rows divided by ``lengths``, less ``mean``, which is by
+    default the mean of the divided rows."""
+    W = features / lengths[:, None]
     if mean is None:
         mean = W.mean(axis=0)
     W -= mean
@@ -361,14 +364,17 @@ def _pair_terms(X: EncodedMatrix) -> tuple[_PairTerms, np.ndarray]:
     memo = X.memo()
     if "correlation" in memo:
         terms = memo["correlation"]
-        return terms, _centred_rows(X.features, terms.mean)[0]
-    W, mean = _centred_rows(X.features)
+        return terms, _centred_rows(X.features, terms.lengths, terms.mean)[0]
+    lengths = np.linalg.norm(X.features, axis=1)
+    lengths[lengths == 0] = 1.0
+    W, mean = _centred_rows(X.features, lengths)
     n = W.shape[0]
     s = W @ mean
     diag = 2.0 * s + (W * W).sum(axis=1)
     full_sq = 2.0 * n * float(s @ s) + _gram_product(W, W)  # sum_ij g_ij^2
     c = float(mean @ mean)
     terms = _PairTerms(
+        lengths=lengths,
         mean=mean,
         s=s,
         diag=diag,

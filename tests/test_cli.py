@@ -500,27 +500,37 @@ class TestClassificationGrid:
         assert Counter(built) == {"text": 60, "math_id": 60}
 
     def test_each_base_channel_is_built_once_per_run(self, tmp_path, monkeypatch):
-        """Both surroundings rows, an embedding row and a classifier: the
-        surroundings and the text stream are built once per document, for
-        the full-corpus fits and the folds of all three rows."""
-        built, windows = [], []
-        stream, surroundings = encode.token_stream, encode.extract_surroundings
+        """Both surroundings tf-idf rows, two embedding rows and a classifier:
+        each document's window coverage, its surroundings stream and its text
+        stream are built once, for the full-corpus fits and the folds of all
+        four rows. The tf-idf rows count the coverage; the surroundings
+        stream, one list per window, is built only for the embedding row
+        that reads it."""
+        built, covered, windows = [], [], []
+        stream = encode.token_stream
+        coverage, surroundings = encode.surroundings_coverage, encode.extract_surroundings
 
         def counting_stream(doc, content, **kwargs):
             built.append(content)
             return stream(doc, content, **kwargs)
+
+        def counting_coverage(doc, **kwargs):
+            covered.append(doc.id)
+            return coverage(doc, **kwargs)
 
         def counting_surroundings(doc, **kwargs):
             windows.append(doc.id)
             return surroundings(doc, **kwargs)
 
         monkeypatch.setattr(encode, "token_stream", counting_stream)
+        monkeypatch.setattr(encode, "surroundings_coverage", counting_coverage)
         monkeypatch.setattr(encode, "extract_surroundings", counting_surroundings)
         config = load_experiment_config(
             write_config(
                 tmp_path,
                 encodings=[
-                    "math_surroundings_tfidf", "textmath_surroundings_tfidf", "text_embedding"
+                    "math_surroundings_tfidf", "textmath_surroundings_tfidf",
+                    "text_embedding", "math_surroundings_embedding",
                 ],
                 classifiers=["knn"],
                 n_folds=3,
@@ -530,13 +540,26 @@ class TestClassificationGrid:
         report = run_experiment(config)
         assert None not in report.cells.values()
         assert Counter(built) == {"math_surroundings": 60, "text": 60}
-        assert sorted(windows) == sorted(d.id for d in load_corpus(MINI_MANIFEST).documents)
+        ids = sorted(d.id for d in load_corpus(MINI_MANIFEST).documents)
+        assert sorted(covered) == ids
+        assert sorted(windows) == ids
+
+    def test_tfidf_surroundings_rows_build_no_window_streams(self, tmp_path, monkeypatch):
+        def unused(doc, **kwargs):
+            raise AssertionError("a tf-idf row built a surroundings stream")
+
+        monkeypatch.setattr(encode, "extract_surroundings", unused)
+        rows = ["math_surroundings_tfidf", "textmath_surroundings_tfidf"]
+        config = load_experiment_config(
+            write_config(tmp_path, encodings=rows, classifiers=["knn"], clusterers=[], n_folds=3)
+        )
+        assert None not in run_experiment(config).cells.values()
 
     def test_failing_base_channel_empties_every_row_built_from_it(self, tmp_path, monkeypatch):
         def broken(doc, **kwargs):
             raise RuntimeError("no windows")
 
-        monkeypatch.setattr(encode, "extract_surroundings", broken)
+        monkeypatch.setattr(encode, "surroundings_coverage", broken)
         rows = ["math_surroundings_tfidf", "textmath_surroundings_tfidf"]
         config = load_experiment_config(
             write_config(tmp_path, encodings=["text_tfidf", *rows], classifiers=["knn"], n_folds=3)

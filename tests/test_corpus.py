@@ -2,9 +2,11 @@
 import json
 import re
 import unicodedata
+import xml.etree.ElementTree as ET
 from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +28,12 @@ from textmath import (
     load_corpus,
     load_corpus_jsonl,
     parse_document,
+    surroundings_coverage,
     token_stream,
 )
 from textmath import corpus as corpus_module
-from textmath.corpus import _token_index
-from textmath.encode import Channels, parse_encoding_name
+from textmath.corpus import _Cleaner, _token_index, _TokenIndex
+from textmath.encode import Channels, count_streams, parse_encoding_name
 from textmath.synth import generate_synthetic_corpus, write_corpus_markup
 from tests.conftest import formula, make_doc
 
@@ -120,6 +123,74 @@ class TestParseDocument:
         assert doc.raw_text.count(PLACEHOLDER) == len(doc.formulas) == 2
         for f in doc.formulas:
             assert doc.raw_text[f.offset] == PLACEHOLDER
+
+
+def reference_symbols(elem: ET.Element) -> list[tuple[str, str]]:
+    """The symbols of a formula element by recursion: a ``mo``/``mi`` is the
+    NFC-normalised, stripped concatenation of its character data, and its
+    descendants are not visited on their own."""
+    name = elem.tag.rsplit("}", 1)[-1] if isinstance(elem.tag, str) else ""
+    if name in ("mo", "mi"):
+        text = unicodedata.normalize("NFC", "".join(elem.itertext())).strip()
+        return [("o" if name == "mo" else "i", text)] if text else []
+    return [sym for child in elem for sym in reference_symbols(child)]
+
+
+MATHML = "http://www.w3.org/1998/Math/MathML"
+
+# Formula bodies: markup nested inside mi/mo, namespaced tags, a container
+# inside a container, whitespace-only and empty symbols, a combining mark
+# that composes with the letter before it across elements.
+_SYMBOL_TAGS = ["mi", "mo", "mrow", "msub", "math", "m:mi", "m:mo", "sub"]
+_SYMBOL_TEXT = ["", "a", "b", " ", "+", "\u0301", "e"]
+_symbol_markup = st.recursive(
+    st.sampled_from(_SYMBOL_TEXT),
+    lambda inner: st.builds(
+        lambda tag, kids, tail: f"<{tag}>{''.join(kids)}</{tag}>{tail}",
+        st.sampled_from(_SYMBOL_TAGS),
+        st.lists(inner, max_size=3),
+        st.sampled_from(_SYMBOL_TEXT),
+    ),
+    max_leaves=12,
+)
+
+
+class TestCollectSymbols:
+    @pytest.mark.parametrize(
+        "body,operators,identifiers,order",
+        [
+            ("<mi><mrow>a</mrow><mi>b</mi></mi>", [], ["ab"], "i"),
+            ("<mo>(</mo><mi>x<sub>i</sub></mi><mo><mi>+</mi></mo>", ["(", "+"], ["xi"], "oio"),
+            (f'<m:mi xmlns:m="{MATHML}">x</m:mi><m:mo xmlns:m="{MATHML}">=</m:mo>',
+             ["="], ["x"], "io"),
+            ("<mi>x</mi><mrow><math><mo>=</mo><math><mi>y</mi></math></math></mrow>",
+             ["="], ["x", "y"], "ioi"),
+            ("<mo> </mo><mo>\n\t</mo><mi></mi><mi/><mo>-</mo>", ["-"], [], "o"),
+        ],
+    )
+    def test_cases(self, body, operators, identifiers, order):
+        markup = f"<p>a <math>{body}</math> b</p>"
+        doc = parse_document(markup, "html_math", id="d", label="a")
+        assert len(doc.formulas) == 1
+        f = doc.formulas[0]
+        assert (f.operators, f.identifiers, f.order, f.offset) == (
+            operators, identifiers, order, 2
+        )
+        container = ET.fromstring(markup).find("math")
+        assert f.symbols() == reference_symbols(container)
+
+    def test_namespaced_container(self):
+        markup = f'<p>a <math xmlns="{MATHML}"><mi>x</mi><mo>+</mo></math> b</p>'
+        doc = parse_document(markup, "html_math", id="d", label="a")
+        assert [f.symbols() for f in doc.formulas] == [[("i", "x"), ("o", "+")]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_symbol_markup, max_size=4))
+    def test_matches_recursive_reference(self, bodies):
+        markup = f'<p xmlns:m="{MATHML}">{"".join(f"<math>{b}</math>" for b in bodies)}</p>'
+        doc = parse_document(markup, "html_math", id="d", label="a")
+        containers = ET.fromstring(markup).findall("math")
+        assert [f.symbols() for f in doc.formulas] == [reference_symbols(c) for c in containers]
 
 
 class TestCleanText:
@@ -292,6 +363,13 @@ def surroundings_cases(draw):
     return doc, draw(windows), stopwords
 
 
+def assert_same_counts(got, want):
+    """Two ``TokenCounts`` equal bit for bit: names, shape, dtype and counts."""
+    assert got.names == want.names
+    assert got.counts.dtype == want.counts.dtype == np.int32
+    np.testing.assert_array_equal(got.counts, want.counts)
+
+
 class TestSurroundingsIndex:
     @settings(max_examples=400, deadline=None)
     @given(surroundings_cases())
@@ -309,6 +387,59 @@ class TestSurroundingsIndex:
         )
         assert doc == twin
         assert repr(doc) == repr(twin)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_PIECES + ["42", "x²", "ǅ", "a\u0301b"]), max_size=30),
+        st.sampled_from([frozenset(), default_stopwords(), frozenset({"alpha", "the"})]),
+    )
+    def test_index_matches_finditer(self, pieces, stopwords):
+        raw = unicodedata.normalize("NFC", "".join(pieces))
+        index = _TokenIndex(raw, _Cleaner(stopwords))
+        matches = list(re.finditer(r"\w+", raw))
+        cleaned = [clean_text(m.group(), stopwords) for m in matches]
+        assert list(index.starts) == [m.start() for m in matches]
+        assert list(index.ends) == [m.end() for m in matches]
+        assert index.kept == [tok for toks in cleaned for tok in toks] == clean_text(raw, stopwords)
+        kept_before = [0]
+        for toks in cleaned:
+            kept_before.append(kept_before[-1] + len(toks))
+        assert list(index.kept_before) == kept_before
+
+    @pytest.mark.parametrize("raw", ["", "alpha", f"{PLACEHOLDER}alpha beta_2{PLACEHOLDER}", " , "])
+    def test_index_at_the_edges_of_the_text(self, raw):
+        index = _TokenIndex(raw, _Cleaner(frozenset()))
+        matches = list(re.finditer(r"\w+", raw))
+        assert list(index.starts) == [m.start() for m in matches]
+        assert list(index.ends) == [m.end() for m in matches]
+        assert len(index.kept_before) == len(matches) + 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(surroundings_cases())
+    def test_coverage_counts_like_the_window_streams(self, case):
+        doc, window, stopwords = case
+        kept, times = surroundings_coverage(doc, window, stopwords)
+        assert kept == clean_text(doc.raw_text, stopwords) and len(times) == len(kept)
+        assert_same_counts(
+            count_streams([kept], [times]),
+            count_streams([extract_surroundings(doc, window, stopwords)]),
+        )
+
+    def test_coverage_of_formulas_at_both_ends_of_the_text(self):
+        raw = f"{PLACEHOLDER}alpha beta gamma delta{PLACEHOLDER}"
+        doc = make_doc(
+            raw_text=raw,
+            formulas=[
+                formula(identifiers=["x"], offset=0),
+                formula(operators=["+"], offset=7),
+                formula(identifiers=["y"], offset=len(raw) - 1),
+                formula(identifiers=["z"], offset=len(raw)),
+            ],
+        )
+        for window, want in ((1, [1, 0, 0, 1]), (7, [1, 1, 1, 2]), (100, [3, 3, 3, 3])):
+            assert surroundings_coverage(doc, window, frozenset()) == (
+                ["alpha", "beta", "gamma", "delta"], want
+            )
 
     def test_index_built_once_per_stopword_set(self):
         doc = make_doc(
@@ -334,7 +465,8 @@ class TestSurroundingsIndex:
         assert list(index.starts) == [0, 6, 10, 17]
         assert list(index.ends) == [5, 9, 14, 22]
         assert list(index.kept_before) == [0, 1, 1, 2, 3]
-        assert index.window(3, 12) == ["alpha", "beta"]
+        assert index.span(3, 12) == (0, 2)
+        assert index.kept[slice(*index.span(3, 12))] == ["alpha", "beta"]
 
     def test_decomposed_markup_text_is_composed_at_parse(self):
         doc = parse_document(
@@ -434,6 +566,24 @@ class TestTokenisedOnce:
             for doc in corpus.documents:
                 tokens = set(token_stream(doc, "text", stopwords=stopwords))
                 assert set(extract_surroundings(doc, stopwords=stopwords)) <= tokens
+
+    @pytest.mark.parametrize("source", ["mini", "synth"])
+    def test_coverage_counts_equal_the_window_stream_counts(self, tmp_path, source):
+        if source == "mini":
+            docs = load_corpus(MINI_MANIFEST).documents
+        else:
+            generated = generate_synthetic_corpus(
+                n_classes=4, docs_per_class=6, vocab_per_class=20, shared_identifiers=5,
+                seed=3, tokens_per_doc=(40, 160), formulas_per_doc=(0, 12),
+            )
+            docs = load_corpus(write_corpus_markup(generated, tmp_path)).documents
+        for stopwords in (None, frozenset(), frozenset({"alpha", "the", "and"})):
+            for window in (1, 7, 40, 500):
+                coverage = [surroundings_coverage(d, window, stopwords) for d in docs]
+                assert_same_counts(
+                    count_streams([k for k, _ in coverage], [t for _, t in coverage]),
+                    count_streams(extract_surroundings(d, window, stopwords) for d in docs),
+                )
 
     def test_text_tokens_are_the_index_list_itself(self):
         """Loading keeps each document's kept tokens once: ``text_tokens`` is

@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 from textmath import (
     AllBagsEmptyError,
     DegenerateInputError,
+    DimensionMismatchError,
     EncodedMatrix,
     EncodingSpec,
+    NonFiniteFeaturesError,
+    TextMathError,
     clean_text,
     count_streams,
     fit_encoder,
@@ -222,18 +226,68 @@ class TestTfidf:
             assert got.sample_ids == ids[::-1]
 
 
+def reference_counts(streams):
+    """(sorted names, int32 counts) of token streams, by ``Counter``."""
+    tallies = [Counter(stream) for stream in streams]
+    names = sorted(set().union(*tallies))
+    return names, np.array([[t[n] for n in names] for t in tallies], np.int32).reshape(
+        len(tallies), len(names)
+    )
+
+
+_rows_with_times = st.lists(
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 3)), max_size=6),
+    max_size=5,
+)
+
+
+class TestCountStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(_rows_with_times)
+    def test_multiplicities_count_like_repeated_streams(self, rows):
+        tokens = [[tok for tok, _ in row] for row in rows]
+        times = [[n for _, n in row] for row in rows]
+        repeated = [[tok for tok, n in row for _ in range(n)] for row in rows]
+        names, counts = reference_counts(repeated)
+        for got in (count_streams(iter(tokens), iter(times)), count_streams(repeated)):
+            assert got.names == names
+            assert got.counts.dtype == np.int32
+            np.testing.assert_array_equal(got.counts, counts)
+
+    def test_a_token_counted_zero_times_gets_no_column(self):
+        got = count_streams([["b", "a", "b"], ["c"]], [[0, 2, 0], [1]])
+        assert got.names == ["a", "c"]
+        np.testing.assert_array_equal(got.counts, [[2, 0], [0, 1]])
+
+    def test_no_streams_and_empty_streams(self):
+        assert count_streams([]).counts.shape == (0, 0)
+        got = count_streams([[], ["x"], []])
+        assert got.names == ["x"]
+        np.testing.assert_array_equal(got.counts, [[0], [1], [0]])
+
+
 class TestEncodedMatrix:
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteFeaturesError):
             make_matrix(np.array([[np.nan, 1.0]]))
+        with pytest.raises(NonFiniteFeaturesError):
+            make_matrix(np.array([[1.0], [-np.inf]]))
 
     def test_rejects_row_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             EncodedMatrix(
                 spec=EncodingSpec("text", "tfidf"),
                 sample_ids=["a"],
                 features=np.zeros((2, 2)),
             )
+
+    def test_rejects_a_matrix_that_is_not_2d(self):
+        with pytest.raises(DimensionMismatchError, match="2-D"):
+            EncodedMatrix(spec=None, sample_ids=["a", "b"], features=np.zeros(2))
+
+    def test_shape_and_value_errors_are_domain_errors(self):
+        assert issubclass(NonFiniteFeaturesError, TextMathError)
+        assert issubclass(DimensionMismatchError, TextMathError)
 
     def test_equality_is_identity_and_does_not_raise(self):
         m1, m2 = make_matrix(np.eye(2)), make_matrix(np.eye(2))
