@@ -163,7 +163,7 @@ def svc_objective(w: np.ndarray, b: float, X: np.ndarray, s: np.ndarray, C: floa
 
 def _hinge_objective(w: np.ndarray, margins: np.ndarray, C: float) -> float:
     """``svc_objective`` from the margins ``1 − s·(Xw+b)``."""
-    return float(0.5 * w @ w + C * np.clip(margins, 0.0, None).sum())
+    return float(0.5 * w @ w + C * np.maximum(margins, 0.0).sum())
 
 
 def _fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dict[str, Any]:
@@ -268,7 +268,7 @@ def mlp_objective(
     c = T.shape[1]
     W1, b1, W2, b2 = _unpack_mlp(theta, X.shape[1], hidden, c)
     A, P = _mlp_forward(theta, X, hidden, c)
-    loss = float(-(T * np.log(np.clip(P, 1e-12, None))).sum() / n)
+    loss = float(-(T * np.log(np.maximum(P, 1e-12))).sum() / n)
     grad = np.empty_like(theta) if out is None else out
     grad_W1, grad_b1, grad_W2, grad_b2 = _unpack_mlp(grad, X.shape[1], hidden, c)
     dZ = (P - T) / n

@@ -100,7 +100,7 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray, xx: np.ndarray | None = None) -> np.
     if xx is None:
         xx = (X * X).sum(axis=1)
     d2 = xx[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * X @ Y.T
-    return np.clip(d2, 0.0, None)
+    return np.maximum(d2, 0.0)
 
 
 # --- k-means ----------------------------------------------------------------
@@ -285,7 +285,7 @@ def _fit_gmm(
     weights = counts / n
     variances = np.empty((k, d))
     for c in range(k):
-        variances[c] = np.clip(X[km_assign == c].var(axis=0), floor, None)
+        variances[c] = np.maximum(X[km_assign == c].var(axis=0), floor)
 
     # One log density per state: it gives the state's log-likelihood, the
     # next E step and, for the last state, the assignment.
@@ -298,12 +298,12 @@ def _fit_gmm(
         resp = np.exp(weighted - log_norm[:, None])
         # M step.
         nk = resp.sum(axis=0)
-        nk = np.clip(nk, 1e-12, None)
+        nk = np.maximum(nk, 1e-12)
         weights = nk / n
         means = (resp.T @ X) / nk[:, None]
         for c in range(k):
             diff2 = (X - means[c]) ** 2
-            variances[c] = np.clip((resp[:, c] @ diff2) / nk[c], floor, None)
+            variances[c] = np.maximum((resp[:, c] @ diff2) / nk[c], floor)
         weighted = _log_gauss_diag(X, means, variances) + np.log(weights)
         log_norm = _log_norm(weighted)
         history.append(float(log_norm.sum()))
@@ -350,7 +350,7 @@ def _pass_messages(
         R += T
         # Availability update: T holds R clipped at 0 off the diagonal and R
         # on it, then the new availabilities.
-        np.clip(R, 0.0, None, out=T)
+        np.maximum(R, 0.0, out=T)
         np.fill_diagonal(T, R.diagonal())
         col_sums = T.sum(axis=0)
         self_avail = col_sums - T.diagonal()

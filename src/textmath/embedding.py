@@ -9,13 +9,21 @@ unigram distribution raised to 0.75.
 All randomness flows from a single seeded generator, so training is
 bit-reproducible. The draws of one pass over a document (every position's
 reduced window, and every position's noise words) are taken in one call
-before the pass (`_draw_pass`); within the pass the updates stay sequential,
-position by position. Held-out documents are encoded by gradient steps on a
-fresh document vector with word and output weights frozen, so each context's
-word sum comes from one prefix sum per document and each step scores every
-context against its output rows at once; only the document-vector update
-runs per position. Results at a given seed therefore differ from those of the
-earlier per-position draws.
+(`_draw_pass`), document by document. Training then runs all documents in
+lockstep: at step t, every document longer than t updates its position t,
+reading the word and output weights as they stood before the step. Each
+document vector takes its own update; the output-row and word-vector updates
+are summed per word and applied after the step, so a noise word drawn twice
+at one position takes one step per draw, as in word2vec. The reference
+Doc2Vec trainer updates shared weights from several threads without locks
+(Hogwild!), so its order is not sequential either; the lockstep order is a
+reproducible form of that scheme. Results at a given seed differ from
+versions before this change, which updated one position at a time.
+
+Held-out documents are encoded by gradient steps on a fresh document vector
+with word and output weights frozen, so each context's word sum comes from
+one prefix sum per document and each step scores every context against its
+output rows at once; only the document-vector update runs per position.
 """
 from __future__ import annotations
 
@@ -147,42 +155,6 @@ def _labels(n_words: int) -> np.ndarray:
     return labels
 
 
-def _train_doc(
-    model: EmbeddingModel,
-    doc_vec: np.ndarray,
-    stream: np.ndarray,
-    reduced: np.ndarray,
-    words: np.ndarray,
-    alpha: float,
-) -> None:
-    """One training pass over a document with pre-drawn ``reduced`` windows
-    and ``words`` blocks (see ``_draw_pass``). Position by position: predict
-    the target from the mean of ``doc_vec`` and the context's word vectors,
-    step the output rows of the target and noise words, then apply the
-    input-side error to ``doc_vec`` and to every context word."""
-    start, end = _window_bounds(reduced, model.params.window)
-    # Every context of the pass, concatenated: position p's span without p
-    # itself is contexts[bounds[p]:bounds[p + 1]].
-    span = end - start
-    first = np.cumsum(span) - span  # where each span starts in the flat array
-    flat = np.arange(span.sum()) + np.repeat(start - first, span)  # stream positions
-    contexts = stream[flat[flat != np.repeat(np.arange(len(stream)), span)]]
-    bounds = np.concatenate([[0], np.cumsum(span - 1)]).tolist()
-    word_vectors = model.word_vectors
-    output_weights = model.output_weights
-    labels = _labels(words.shape[1])
-    for w, lo, hi in zip(words, bounds, bounds[1:]):
-        context = contexts[lo:hi]
-        l1 = (doc_vec + np.add.reduce(word_vectors.take(context, axis=0))) / (1 + hi - lo)
-        l2 = output_weights.take(w, axis=0)  # a copy: the pre-update weights
-        g = (labels - _sigmoid(l2.dot(l1))) * alpha
-        # A word drawn twice gets one step, as from `output_weights[w] += ...`.
-        output_weights[w] = l2 + g[:, None] * l1
-        neu1e = g.dot(l2)
-        doc_vec += neu1e
-        np.add.at(word_vectors, context, neu1e)
-
-
 def _infer_pass(
     model: EmbeddingModel,
     doc_vec: np.ndarray,
@@ -191,8 +163,9 @@ def _infer_pass(
     words: np.ndarray,
     alpha: float,
 ) -> None:
-    """One inference pass over a document: ``_train_doc``'s step with word
-    and output weights frozen, so only ``doc_vec`` changes.
+    """One inference pass over a document, position by position: the
+    training step with word and output weights frozen, so only ``doc_vec``
+    changes.
 
     ``prefix`` holds the prefix sums of the document's word vectors, so a
     context's word sum ``ctx`` is two rows of it minus the target's vector.
@@ -215,19 +188,147 @@ def _infer_pass(
             doc_vec += ((labels - _sigmoid(m.dot(doc_vec) + c)) * step).dot(m)
 
 
+class _Lockstep:
+    """The fixed layout of lockstep training over a corpus.
+
+    Documents are taken longest first (a stable sort, so ties keep document
+    order); at step t the documents longer than t, a prefix of that order,
+    each take their position t. A pass's per-position arrays are kept in
+    step-major order, so step t's rows are ``rows[t]:rows[t + 1]``. Context
+    words index a word buffer with one extra all-zero row, ``pad``, which
+    stands for every slot outside a reduced window or a document.
+    """
+
+    def __init__(self, streams_idx: list[np.ndarray], window: int, pad: int) -> None:
+        lengths = np.array([len(s) for s in streams_idx], dtype=np.intp)
+        self.order = np.argsort(-lengths, kind="stable")
+        doc_of = np.repeat(np.arange(len(lengths)), lengths)
+        step_of = np.arange(len(doc_of)) - (np.cumsum(lengths) - lengths)[doc_of]
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(len(lengths))
+        # Corpus positions in step-major order: by step, then by rank.
+        self.perm = np.lexsort((rank[doc_of], step_of))
+        self.step = step_of[self.perm]
+        # Each active document has one position at a step.
+        active = np.bincount(step_of)
+        self.active = active.tolist()
+        self.rows = [0, *np.cumsum(active).tolist()]
+        # Every document between `window` pad slots, so a context slot up to
+        # `window` away from a position never leaves the padded stream.
+        self.padded = np.full(len(doc_of) + window * (len(lengths) + 1), pad, dtype=np.int32)
+        where = (np.arange(len(doc_of)) + window * (doc_of + 1)).astype(np.int32)
+        self.padded[where] = np.concatenate(streams_idx)
+        self.where = where[self.perm]
+        self.slots = np.r_[-window:0, 1 : window + 1].astype(np.int32)
+        self.window = window
+        self.pad = pad
+
+    def contexts(self, reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each step-major position's (2 * window) context words, padded with
+        ``pad`` outside its ``reduced`` window, and its span: 1 plus its
+        count of real context words, the divisor of its mean."""
+        context = self.padded[self.where[:, None] + self.slots]
+        context[np.abs(self.slots) > (self.window - reduced)[:, None]] = self.pad
+        return context, 1.0 + np.count_nonzero(context != self.pad, axis=1)
+
+    def groups(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """How to sum a row per entry of a step-major word block, per step and
+        word, from one stable sort of the entries by (step, word).
+
+        Returns ``(source, starts, words, bounds)``. With ``k`` entries per
+        position, step t owns entries ``k * rows[t]:k * rows[t + 1]`` of the
+        flat block, and ``source`` over that range lists them sorted, as
+        offsets into the step's own ``(n, k)`` block. The runs of one word
+        among them start at ``starts[bounds[t]:bounds[t + 1]]``, offsets into
+        the same range, and hold ``words[bounds[t]:bounds[t + 1]]``.
+        """
+        k, width = block.shape[1], self.pad + 1
+        first = np.repeat(np.multiply(self.rows[:-1], k), np.multiply(self.active, k))
+        keys = (self.step[:, None] * width + block).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        bounds = np.searchsorted(starts, np.multiply(self.rows, k))
+        return order - first, starts - first[starts], keys[starts] % width, bounds.tolist()
+
+
+def _train_pass(
+    model: EmbeddingModel,
+    lockstep: _Lockstep,
+    word_buf: np.ndarray,
+    doc_buf: np.ndarray,
+    draws: list[tuple[np.ndarray, np.ndarray]],
+    alpha: float,
+) -> None:
+    """One lockstep training pass with every document's pre-drawn
+    ``(reduced, words)`` (see ``_draw_pass``), in document order.
+
+    At each step, every active document predicts its target from the mean of
+    its vector and its context's word vectors, and scores its target and
+    noise words, all from the weights as they stood before the step. Each
+    document vector takes its own update at once; the output-row and
+    word-vector updates are summed per word and applied after the step, so a
+    word drawn twice at one position takes one step per draw.
+    ``word_buf`` is the word vectors with the pad row appended, and
+    ``doc_buf`` the document vectors in ``lockstep.order``.
+    """
+    perm = lockstep.perm
+    reduced = np.concatenate([r for r, _ in draws])[perm]
+    words = np.concatenate([w for _, w in draws])[perm]
+    contexts, spans = lockstep.contexts(reduced)
+    out_source, out_starts, out_rows, out_bounds = lockstep.groups(words)
+    in_source, in_starts, in_rows, in_bounds = lockstep.groups(contexts)
+    out_pos = out_source // words.shape[1]
+    in_pos = in_source // contexts.shape[1]
+    output_weights = model.output_weights
+    labels = _labels(words.shape[1])
+    n_words, n_slots = words.shape[1], contexts.shape[1]
+    rows = lockstep.rows
+    for t, n in enumerate(lockstep.active):
+        lo, hi = rows[t], rows[t + 1]
+        context, w = contexts[lo:hi], words[lo:hi]
+        l1 = doc_buf[:n] + np.add.reduce(word_buf[context], axis=1)
+        l1 /= spans[lo:hi, None]
+        l2 = output_weights[w]
+        g = (labels - _sigmoid(np.einsum("nkd,nd->nk", l2, l1))) * alpha
+        neu1e = np.einsum("nk,nkd->nd", g, l2)
+        doc_buf[:n] += neu1e
+        a, b = lo * n_words, hi * n_words
+        sums = np.add.reduceat(
+            g.ravel()[out_source[a:b], None] * l1[out_pos[a:b]],
+            out_starts[out_bounds[t] : out_bounds[t + 1]],
+        )
+        output_weights[out_rows[out_bounds[t] : out_bounds[t + 1]]] += sums
+        a, b = lo * n_slots, hi * n_slots
+        sums = np.add.reduceat(neu1e[in_pos[a:b]], in_starts[in_bounds[t] : in_bounds[t + 1]])
+        word_buf[in_rows[in_bounds[t] : in_bounds[t + 1]]] += sums
+        word_buf[lockstep.pad] = 0.0  # the pad row's sum is discarded
+
+
 def train_embedding(streams: list[list[str]], params: EmbeddingParams) -> EmbeddingModel:
-    """Train paragraph vectors over token streams; deterministic per seed."""
+    """Train paragraph vectors over token streams; deterministic per seed.
+
+    Each pass draws every document's windows and noise words in document
+    order, then trains all documents in lockstep (see ``_train_pass``).
+    """
     model = init_model(streams, params)
     rng = np.random.default_rng([params.seed, 1])
     streams_idx = _index_streams(streams, model.vocabulary)
+    v = len(model.vocabulary)
+    lockstep = _Lockstep(streams_idx, params.window, pad=v)
+    word_buf = np.zeros((v + 1, params.size))
+    word_buf[:v] = model.word_vectors
+    doc_buf = model.doc_vectors[lockstep.order]
     for epoch in range(params.epochs):
         alpha = max(params.min_alpha, params.initial_alpha - epoch * params.alpha_decay_per_epoch)
         for _ in range(params.iters_per_epoch):
-            for d, stream in enumerate(streams_idx):
-                reduced, words = _draw_pass(
-                    rng, model.noise_cdf, stream, params.window, params.negative
-                )
-                _train_doc(model, model.doc_vectors[d], stream, reduced, words, alpha)
+            draws = [
+                _draw_pass(rng, model.noise_cdf, stream, params.window, params.negative)
+                for stream in streams_idx
+            ]
+            _train_pass(model, lockstep, word_buf, doc_buf, draws, alpha)
+    model.word_vectors[...] = word_buf[:v]
+    model.doc_vectors[lockstep.order] = doc_buf
     return model
 
 

@@ -58,10 +58,14 @@ def negative_sampling_loss(model, streams, seed=0):
     return total / n_pairs
 
 
-def reference_step(model, doc_vec, stream, pos, reduced, word_indices, alpha, learn_words):
+def reference_step(
+    model, doc_vec, stream, pos, reduced, word_indices, alpha, learn_words, deltas=None
+):
     """Le & Mikolov's step at one position, written out literally: a freshly
-    concatenated context, a fresh l1, the output rows read before their
-    update. Updates ``doc_vec`` (and, if ``learn_words``, the weights)."""
+    concatenated context, a fresh l1, the output rows read as they stand.
+    Updates ``doc_vec``; if ``learn_words``, adds the output-row and
+    word-vector updates, one per draw, into ``deltas`` (output, words), which
+    the caller applies after the step."""
     half = model.params.window - reduced
     context = np.concatenate([stream[max(0, pos - half) : pos], stream[pos + 1 : pos + half + 1]])
     l1 = (doc_vec + model.word_vectors[context].sum(axis=0)) / (1 + len(context))
@@ -71,28 +75,37 @@ def reference_step(model, doc_vec, stream, pos, reduced, word_indices, alpha, le
     g = (labels - 1.0 / (1.0 + np.exp(-np.clip(l2 @ l1, -60.0, 60.0)))) * alpha
     neu1e = g @ l2
     if learn_words:
-        model.output_weights[word_indices] += np.outer(g, l1)
-        np.add.at(model.word_vectors, context, neu1e)
+        output_delta, word_delta = deltas
+        np.add.at(output_delta, word_indices, np.outer(g, l1))
+        np.add.at(word_delta, context, neu1e)
     doc_vec += neu1e
 
 
 def reference_train(streams, params):
-    """``train_embedding`` with the per-position reference step, fed the
-    draws of ``_draw_pass`` from the same generator in the same order."""
+    """``train_embedding`` as a literal lockstep loop, fed the draws of
+    ``_draw_pass`` from the same generator in the same order: at step t,
+    every document longer than t takes the reference step at position t, in
+    document order, reading the weights as they stood before the step."""
     model = init_model(streams, params)
     rng = np.random.default_rng([params.seed, 1])
     streams_idx = _index_streams(streams, model.vocabulary)
     for epoch in range(params.epochs):
         alpha = max(params.min_alpha, params.initial_alpha - epoch * params.alpha_decay_per_epoch)
-        for d, stream in enumerate(streams_idx):
-            reduced, words = _draw_pass(
-                rng, model.noise_cdf, stream, params.window, params.negative
-            )
-            for pos in range(len(stream)):
-                reference_step(
-                    model, model.doc_vectors[d], stream, pos, int(reduced[pos]), words[pos],
-                    alpha, learn_words=True,
-                )
+        for _ in range(params.iters_per_epoch):
+            draws = [
+                _draw_pass(rng, model.noise_cdf, stream, params.window, params.negative)
+                for stream in streams_idx
+            ]
+            for pos in range(max(len(stream) for stream in streams_idx)):
+                deltas = (np.zeros_like(model.output_weights), np.zeros_like(model.word_vectors))
+                for d, (stream, (reduced, words)) in enumerate(zip(streams_idx, draws)):
+                    if pos < len(stream):
+                        reference_step(
+                            model, model.doc_vectors[d], stream, pos, int(reduced[pos]),
+                            words[pos], alpha, learn_words=True, deltas=deltas,
+                        )
+                model.output_weights += deltas[0]
+                model.word_vectors += deltas[1]
     return model
 
 
@@ -367,12 +380,26 @@ KERNEL_CASES = {
             alpha_decay_per_epoch=0.04, negative=3, seed=7,
         ),
     ),
+    # documents of unequal length share words, so one step sums several
+    # documents' updates into the same rows; two passes per epoch
+    "shared_words_unequal_lengths": (
+        [["a", "b", "c", "a", "b", "d", "c"], ["b", "a"], ["c", "b", "a", "a"], ["d", "a", "b"]],
+        EmbeddingParams(
+            size=6, window=2, min_count=1, iters_per_epoch=2, epochs=3, negative=4, seed=8
+        ),
+    ),
+    # the second document's tokens all fall below min_count
+    "document_below_min_count": (
+        [["a", "b", "c", "a", "b", "c"], ["y", "z"], ["c", "a", "b", "b"]],
+        EmbeddingParams(size=5, window=2, min_count=2, epochs=2, negative=2, seed=9),
+    ),
 }
 
 
 class TestKernelMatchesReference:
-    """The vectorised kernel against the literal per-position loop, fed the
-    same pre-drawn windows and word blocks."""
+    """The vectorised kernels against literal loops fed the same pre-drawn
+    windows and word blocks: training against the lockstep loop, inference
+    against the per-position loop."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_one_training_pass(self, case):
@@ -391,6 +418,41 @@ class TestKernelMatchesReference:
         want = reference_train(streams, params)
         for name in ("word_vectors", "output_weights", "doc_vectors"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
+
+    def test_document_below_min_count_keeps_its_initial_vector(self):
+        streams, params = KERNEL_CASES["document_below_min_count"]
+        model = train_embedding(streams, params)
+        assert "y" not in model.vocabulary and "z" not in model.vocabulary
+        initial = init_model(streams, params).doc_vectors
+        np.testing.assert_array_equal(model.doc_vectors[1], initial[1])
+        assert np.all(model.doc_vectors[[0, 2]] != initial[[0, 2]])
+
+    def test_noise_word_drawn_twice_takes_one_step_per_draw(self, monkeypatch):
+        import textmath.embedding as embedding
+
+        # One-token documents, so one step: the output rows start at zero and
+        # each position's l1 is its document's initial vector.
+        streams = [["a"], ["b"], ["c"]]
+        params = EmbeddingParams(size=4, window=2, min_count=1, epochs=1, negative=2, seed=3)
+        blocks = iter([[[0, 2, 2]], [[1, 0, 0]], [[2, 0, 1]]])
+        monkeypatch.setattr(
+            embedding,
+            "_draw_pass",
+            lambda rng, cdf, stream, window, negative: (
+                np.zeros(len(stream), dtype=np.intp), np.array(next(blocks), dtype=np.intp)
+            ),
+        )
+        model = train_embedding(streams, params)
+        doc = init_model(streams, params).doc_vectors
+        step = params.initial_alpha * 0.5  # |label - sigmoid(0)| * alpha
+        # Word 2 is drawn twice as noise at document 0's position, and is
+        # document 2's target.
+        want = -2 * step * doc[0] + step * doc[2]
+        np.testing.assert_allclose(model.output_weights[2], want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            model.output_weights[0], step * doc[0] - 2 * step * doc[1] - step * doc[2],
+            rtol=0, atol=1e-15,
+        )
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_one_inference_run(self, case):
