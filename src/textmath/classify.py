@@ -104,7 +104,8 @@ def _as_features(X: EncodedMatrix | np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    # Only the low clip matters: above 37, 1 + exp(-z) already rounds to 1.
+    return 1.0 / (1.0 + np.exp(-np.maximum(z, -60.0)))
 
 
 # --- logistic regression ----------------------------------------------------
@@ -141,12 +142,14 @@ def _fit_logreg(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dict[st
     lip = 0.25 * ((X * X).sum() + n) / n + lam
     lr = 1.0 / lip
     wb = np.zeros(c * d + c)
-    for _ in range(params["max_epochs"]):
+    stop = "max_epochs"
+    for epoch in range(1, params["max_epochs"] + 1):
         _, grad = logreg_objective(wb, X, T, lam)
         wb -= lr * grad
         if np.max(np.abs(grad)) < params["tol"]:
+            stop = "tol"
             break
-    return {"W": wb[: c * d].reshape(c, d), "b": wb[c * d :]}
+    return {"W": wb[: c * d].reshape(c, d), "b": wb[c * d :], "epochs": epoch, "stop": stop}
 
 
 def _scores_logreg(state: dict[str, Any], X: np.ndarray) -> np.ndarray:
@@ -172,6 +175,9 @@ def _fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dic
     W = np.zeros((T.shape[1], d))
     b = np.zeros(T.shape[1])
     histories = []
+    # Per class: the epochs run and why the fit stopped.
+    epochs: list[int] = []
+    stops: list[str] = []
     sq = (X * X).sum()
     for ci in range(T.shape[1]):
         s = 2.0 * T[:, ci] - 1.0
@@ -182,6 +188,7 @@ def _fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dic
         obj = _hinge_objective(w, margins, C)
         history = [obj]
         lr = 1.0 / (C * (sq + n) / n + 1.0)
+        stop = "max_epochs"
         for _ in range(params["max_epochs"]):
             active = margins > 0
             grad_w = w - C * (s[active] @ X[active])
@@ -199,17 +206,21 @@ def _fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dic
                 lr *= 1.1
                 if improved < 1e-8 * (1.0 + abs(obj)):
                     history.append(obj)
+                    stop = "tol"
                     break
             else:
                 lr *= 0.5
                 if lr < 1e-14:
                     history.append(obj)
+                    stop = "step"
                     break
             history.append(obj)
         W[ci] = w
         b[ci] = bc
         histories.append(history)
-    return {"W": W, "b": b, "objective_histories": histories}
+        epochs.append(len(history) - 1)
+        stops.append(stop)
+    return {"W": W, "b": b, "objective_histories": histories, "epochs": epochs, "stop": stops}
 
 
 def _scores_linear_svc(state: dict[str, Any], X: np.ndarray) -> np.ndarray:
@@ -313,7 +324,8 @@ def _fit_mlp(
     t = 0
     best_loss = math.inf
     stall = 0
-    for _ in range(params["max_epochs"]):
+    stop = "max_epochs"
+    for epoch in range(1, params["max_epochs"] + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, params["batch_size"]):
@@ -341,11 +353,12 @@ def _fit_mlp(
         if best_loss - epoch_loss < params["tol"]:
             stall += 1
             if stall >= params["patience"]:
+                stop = "patience"
                 break
         else:
             stall = 0
         best_loss = min(best_loss, epoch_loss)
-    return {"theta": theta, "hidden": h}
+    return {"theta": theta, "hidden": h, "epochs": epoch, "stop": stop}
 
 
 def _scores_mlp(state: dict[str, Any], X: np.ndarray, n_classes: int) -> np.ndarray:
@@ -663,3 +676,12 @@ def predict(model: ClassifierModel, X: EncodedMatrix | np.ndarray) -> list[str]:
     scores = class_scores(model, X)
     return [model.label_set[i] for i in np.argmax(scores, axis=1)]
 
+
+def convergence(model: ClassifierModel) -> dict[str, Any] | None:
+    """How an iterative fit ended: ``epochs`` run and ``stop``, the rule that
+    ended it (``tol``, ``patience`` or ``max_epochs``; linear_svc gives a list
+    of each, one per one-vs-rest class, with ``step`` when its step size
+    collapsed). None for knn, dectree and randforest."""
+    if "stop" not in model.state:
+        return None
+    return {"epochs": model.state["epochs"], "stop": model.state["stop"]}

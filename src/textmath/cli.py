@@ -170,13 +170,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 class _RunLog:
     """What one ``run_experiment`` call records besides its tables: each
     empty cell's error, every file written, and the per-cell fold
-    accuracies and cluster diagnostics."""
+    accuracies, classifier convergence and cluster diagnostics."""
 
     out: Path
     errors: list[dict[str, str]] = field(default_factory=list)
     written: list[str] = field(default_factory=list)
     fold_accuracies: dict[str, list[float]] = field(default_factory=dict)
     cluster_diagnostics: dict[str, dict[str, Any]] = field(default_factory=dict)
+    classifier_convergence: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
 
     def error(self, stage: str, cell: str, exc: Exception) -> None:
         """Record the cell that ``exc`` left empty."""
@@ -270,6 +271,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         "cell_errors": log.errors,
         "fold_accuracies": log.fold_accuracies,
         "cluster_diagnostics": log.cluster_diagnostics,
+        "classifier_convergence": log.classifier_convergence,
         "files": sorted(log.written),
         "elapsed_seconds": time.time() - started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -319,6 +321,8 @@ def _run_classification_grid(
                 continue
             cells[(row_name, col)] = 100.0 * outcome.mean_accuracy
             log.fold_accuracies[cell] = outcome.fold_accuracies
+            if outcome.convergence:
+                log.classifier_convergence[cell] = list(outcome.convergence)
             outcome.confusion.to_csv(log.file(f"confusion_{row_name}_{col}.csv"))
             raw_times[col] += outcome.fit_predict_seconds
     return log.write_report("classification", "Classification accuracy [%]", cells, raw_times)

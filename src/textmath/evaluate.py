@@ -25,11 +25,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import ClassifierSpec, fit_classifier, predict
+from .classify import ClassifierSpec, convergence, fit_classifier, predict
 from .cluster import ClusterAssignment
 from .corpus import Corpus
 from .encode import Channels, EncodedMatrix, EncodingSpec, Source, count_streams, fit_rows
@@ -133,6 +133,9 @@ class CrossValidationResult(NamedTuple):
     confusion: ConfusionMatrix
     # Wall seconds in the classifier's fit and predict calls, summed over folds.
     fit_predict_seconds: float = 0.0
+    # Per fold, how an iterative fit ended (``classify.convergence``); empty
+    # for the classifiers without one.
+    convergence: Sequence[dict[str, Any]] = ()
 
 
 class Fold(NamedTuple):
@@ -191,6 +194,7 @@ def score_folds(
     fold_accuracies: list[list[float]] = [[] for _ in specs]
     confusions = [ConfusionMatrix.empty(label_set) for _ in specs]
     seconds = [0.0] * len(specs)
+    fit_records: list[list[dict[str, Any]]] = [[] for _ in specs]
     try:
         for fold in folds:
             y_train = [labels[i] for i in fold.train_idx]
@@ -200,11 +204,12 @@ def score_folds(
                     continue
                 try:
                     start = time.perf_counter()
-                    y_pred = predict(
-                        fit_classifier(spec, fold.X_train, y_train, label_set=label_set),
-                        fold.X_test,
-                    )
+                    model = fit_classifier(spec, fold.X_train, y_train, label_set=label_set)
+                    y_pred = predict(model, fold.X_test)
                     seconds[s] += time.perf_counter() - start
+                    record = convergence(model)
+                    if record is not None:
+                        fit_records[s].append(record)
                     fold_accuracies[s].append(accuracy_score(y_test, y_pred))
                     confusions[s].add(y_test, y_pred)
                 except Exception as exc:  # the cell fails, the other specs go on
@@ -222,8 +227,11 @@ def score_folds(
             fold_accuracies=accs,
             confusion=confusion,
             fit_predict_seconds=secs,
+            convergence=fits,
         )
-        for failure, accs, confusion, secs in zip(failures, fold_accuracies, confusions, seconds)
+        for failure, accs, confusion, secs, fits in zip(
+            failures, fold_accuracies, confusions, seconds, fit_records
+        )
     ]
 
 

@@ -615,6 +615,7 @@ def ref_fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> 
     W = np.zeros((T.shape[1], d))
     b = np.zeros(T.shape[1])
     histories = []
+    stops = []
     for ci in range(T.shape[1]):
         s = 2.0 * T[:, ci] - 1.0
         w = np.zeros(d)
@@ -622,6 +623,7 @@ def ref_fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> 
         obj = ref_svc_objective(w, bc, X, s, C)
         history = [obj]
         lr = 1.0 / (C * ((X * X).sum() + n) / n + 1.0)
+        stop = "max_epochs"
         for _ in range(params["max_epochs"]):
             active = (1.0 - s * (X @ w + bc)) > 0
             grad_w = w - C * (s[active] @ X[active])
@@ -637,17 +639,20 @@ def ref_fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> 
                 lr *= 1.1
                 if improved < 1e-8 * (1.0 + abs(obj)):
                     history.append(obj)
+                    stop = "tol"
                     break
             else:
                 lr *= 0.5
                 if lr < 1e-14:
                     history.append(obj)
+                    stop = "step"
                     break
             history.append(obj)
         W[ci] = w
         b[ci] = bc
         histories.append(history)
-    return {"W": W, "b": b, "objective_histories": histories}
+        stops.append(stop)
+    return {"W": W, "b": b, "objective_histories": histories, "stop": stops}
 
 
 
@@ -719,7 +724,9 @@ def ref_fit_mlp(
     t = 0
     best_loss = math.inf
     stall = 0
+    epochs, stop = 0, "max_epochs"
     for _ in range(params["max_epochs"]):
+        epochs += 1
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, params["batch_size"]):
@@ -736,11 +743,12 @@ def ref_fit_mlp(
         if best_loss - epoch_loss < params["tol"]:
             stall += 1
             if stall >= params["patience"]:
+                stop = "patience"
                 break
         else:
             stall = 0
         best_loss = min(best_loss, epoch_loss)
-    return {"theta": theta, "hidden": h}
+    return {"theta": theta, "hidden": h, "epochs": epochs, "stop": stop}
 
 
 def fit_data(seed, n, d, c, density=1.0):
@@ -780,11 +788,15 @@ class TestFitsAgainstReference:
         n, d, c, density, params = MLP_CASES[case]
         X, T = fit_data(seed, n, d, c, density)
         params = ClassifierSpec("mlp", params={"step": 1e-2, **params}).params
-        want = ref_fit_mlp(X, T, params, seed)["theta"]
-        assert classify._fit_mlp(X, T, params, seed)["theta"].tobytes() == want.tobytes()
+        ref = ref_fit_mlp(X, T, params, seed)
+        want = ref["theta"]
+        got = classify._fit_mlp(X, T, params, seed)
+        assert got["theta"].tobytes() == want.tobytes()
+        assert (got["epochs"], got["stop"]) == (ref["epochs"], ref["stop"])
         if case == "patience_stop":
             # Every epoch after the first stalls, so the fit stops after
             # 1 + ``patience`` epochs.
+            assert (got["epochs"], got["stop"]) == (4, "patience")
             capped = ref_fit_mlp(X, T, {**params, "max_epochs": 4}, seed)["theta"]
             assert capped.tobytes() != ref_fit_mlp(X, T, {**params, "max_epochs": 3}, seed)[
                 "theta"
@@ -802,8 +814,13 @@ class TestFitsAgainstReference:
         assert got["W"].tobytes() == want["W"].tobytes()
         assert got["b"].tobytes() == want["b"].tobytes()
         assert got["objective_histories"] == want["objective_histories"]
+        assert got["epochs"] == [len(h) - 1 for h in want["objective_histories"]]
+        assert got["stop"] == want["stop"]
         if case == "epoch_cap":
             assert all(len(h) == 8 for h in got["objective_histories"])
+            assert got["stop"] == ["max_epochs"] * c
+        else:
+            assert set(got["stop"]) <= {"tol", "step"}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mlp_objective_into_a_buffer(self, seed):

@@ -456,6 +456,44 @@ class TestClassificationGrid:
             assert len(accuracies) == config.n_folds
             assert f"{100.0 * np.mean(accuracies):.6f}" == grid[row][col]
 
+    def test_record_holds_every_iterative_fits_convergence(self, tmp_path):
+        """One entry per fold for every logreg, linear_svc and mlp cell, and
+        none for the classifiers without an iterative fit."""
+        config = load_experiment_config(
+            write_config(
+                tmp_path,
+                encodings=["text_tfidf", "math_id_tfidf"],
+                classifiers=[
+                    "logreg",
+                    "linear_svc",
+                    "knn",
+                    {"algo": "mlp", "params": {"hidden": 8, "max_epochs": 30}},
+                    "dectree",
+                ],
+                clusterers=[],
+                n_folds=3,
+            )
+        )
+        run_experiment(config)
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        n_classes = len(record["label_set"])
+        convergence = record["classifier_convergence"]
+        assert list(convergence) == [
+            f"{row}/{col}"
+            for row in config.encodings
+            for col in ("logreg", "linear_svc", "mlp")
+        ]
+        for cell, folds in convergence.items():
+            col = cell.split("/")[1]
+            assert len(folds) == config.n_folds
+            for fit in folds:
+                if col == "linear_svc":
+                    assert len(fit["epochs"]) == len(fit["stop"]) == n_classes
+                    assert set(fit["stop"]) <= {"tol", "step", "max_epochs"}
+                else:
+                    assert fit["stop"] in {"tol", "patience", "max_epochs"}
+                    assert 1 <= fit["epochs"] <= (30 if col == "mlp" else 1000)
+
     def test_rerun_writes_identical_confusions(self, lexicon_grid):
         (first, _), (second, _) = lexicon_grid
         names = sorted(p.name for p in first.output_dir.glob("confusion_*.csv"))

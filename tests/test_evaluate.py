@@ -671,6 +671,7 @@ class TestSharedFolds:
         )
         assert str(knn) == "knn broke"
         assert len(logreg.fold_accuracies) == 4
+        assert [sorted(fit) for fit in logreg.convergence] == [["epochs", "stop"]] * 4
         assert fitted == ["knn", "logreg", "knn", "logreg", "logreg", "logreg"]
 
     def test_fold_construction_error_goes_to_every_live_spec(self, small_corpus, monkeypatch):
