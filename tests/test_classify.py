@@ -95,6 +95,31 @@ class TestFitting:
         model = fit_classifier(ClassifierSpec("logreg"), X, y)
         assert predict(model, X) == y
 
+    @pytest.mark.parametrize("blobs", ["blobs2", "blobs3"])
+    def test_logreg_stops_by_tol(self, blobs, request):
+        """FISTA stops well under the epoch cap (plain gradient descent ran
+        the full 1,000 epochs on blobs2), at a point whose gradient is below
+        tol."""
+        X, y = request.getfixturevalue(blobs)
+        spec = ClassifierSpec("logreg")
+        model = fit_classifier(spec, X, y)
+        assert model.state["stop"] == "tol"
+        assert model.state["epochs"] < 0.75 * spec.params["max_epochs"]
+        T = np.eye(len(model.label_set))[[model.label_set.index(v) for v in y]]
+        wb = np.concatenate([model.state["W"].ravel(), model.state["b"]])
+        lam = 1.0 / (spec.params["C"] * len(y))
+        _, grad = logreg_objective(wb, X.features, T, lam)
+        assert np.max(np.abs(grad)) < spec.params["tol"]
+
+    def test_mlp_stops_by_patience(self, blobs2):
+        """The default tol is scikit-learn's 1e-4, so a separable fit's loss
+        stalls and patience ends it before the epoch cap."""
+        assert ClassifierSpec("mlp").params["tol"] == 1e-4
+        X, y = blobs2
+        model = fit_classifier(small_spec("mlp"), X, y)
+        assert model.state["stop"] == "patience"
+        assert model.state["epochs"] < small_spec("mlp").params["max_epochs"]
+
     def test_knn_k1_memorizes(self, blobs2):
         X, y = blobs2
         model = fit_classifier(ClassifierSpec("knn", params={"k": 1}), X, y)
@@ -599,8 +624,39 @@ class TestTreesAgainstReference:
         assert feature[-1] == -1 and (feature[:-1] >= 0).any()
 
 
-# --- reference MLP and linear SVM fits, as they were before the Adam step
-# and the SVC's margins were updated in place --------------------------------
+# --- reference fits: FISTA for logreg as the paper writes it, and the MLP
+# and linear SVM as they were before the Adam step and the SVC's margins
+# were updated in place ------------------------------------------------------
+
+
+def ref_fit_logreg(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dict[str, Any]:
+    """FISTA with constant step 1/L (Beck & Teboulle 2009, section 4):
+    x_k = y_k − ∇f(y_k)/L, t_{k+1} = (1 + √(1 + 4t_k²))/2 and
+    y_{k+1} = x_k + ((t_k − 1)/t_{k+1})(x_k − x_{k−1}), from x_0 = y_1 = 0
+    and t_1 = 1. Returns y_k at the first k with max |∇f(y_k)| < tol, else
+    x_K after K = max_epochs gradient evaluations."""
+    n, d = X.shape
+    c = T.shape[1]
+    lam = 1.0 / (params["C"] * n)
+    L = 0.25 * ((X * X).sum() + n) / n + lam
+    x_prev = np.zeros(c * d + c)
+    y = np.zeros(c * d + c)
+    t = 1.0
+    result, epochs, stop = None, params["max_epochs"], "max_epochs"
+    for k in range(1, params["max_epochs"] + 1):
+        _, g = logreg_objective(y, X, T, lam)
+        if np.max(np.abs(g)) < params["tol"]:
+            result, epochs, stop = y, k, "tol"
+            break
+        x = y - (1.0 / L) * g
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = x + ((t - 1.0) / t_next) * (x - x_prev)
+        x_prev = x
+        t = t_next
+    if result is None:
+        result = x_prev
+    return {"W": result[: c * d].reshape(c, d), "b": result[c * d :], "epochs": epochs, "stop": stop}
+
 
 
 def ref_svc_objective(w: np.ndarray, b: float, X: np.ndarray, s: np.ndarray, C: float) -> float:
@@ -770,6 +826,15 @@ MLP_CASES = {
     "one_hidden_unit": (30, 4, 3, 0.5, {"hidden": 1, "batch_size": 7, "max_epochs": 25}),
 }
 
+LOGREG_CASES = {
+    "converges": (40, 5, 3, {}),
+    "epoch_cap": (40, 5, 3, {"max_epochs": 7}),
+    "no_tol": (30, 4, 2, {"tol": 0.0, "max_epochs": 60}),
+    "large_C": (30, 8, 2, {"C": 50.0}),
+    "sparse_rows": (50, 12, 4, {"C": 0.3}),
+    "zero_start": (20, 3, 2, {"tol": 1e3}),
+}
+
 SVC_CASES = {
     "converges": (40, 5, 3, {}),
     "epoch_cap": (40, 5, 3, {"max_epochs": 7}),
@@ -779,8 +844,28 @@ SVC_CASES = {
 
 
 class TestFitsAgainstReference:
-    """The in-place MLP and SVC fits give bit-identical parameters to the
-    fits that built new arrays each step."""
+    """The logreg fit gives bit-identical parameters to the literal FISTA
+    loop, and the in-place MLP and SVC fits to the fits that built new
+    arrays each step."""
+
+    @pytest.mark.parametrize("case", list(LOGREG_CASES))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_logreg(self, case, seed):
+        n, d, c, params = LOGREG_CASES[case]
+        X, T = fit_data(seed, n, d, c, 0.4 if case == "sparse_rows" else 1.0)
+        params = ClassifierSpec("logreg", params=params).params
+        want = ref_fit_logreg(X, T, params)
+        got = classify._fit_logreg(X, T, params)
+        assert got["W"].tobytes() == want["W"].tobytes()
+        assert got["b"].tobytes() == want["b"].tobytes()
+        assert (got["epochs"], got["stop"]) == (want["epochs"], want["stop"])
+        if case in ("epoch_cap", "no_tol"):
+            assert (got["epochs"], got["stop"]) == (params["max_epochs"], "max_epochs")
+        elif case == "zero_start":
+            assert (got["epochs"], got["stop"]) == (1, "tol")
+            assert not got["W"].any() and not got["b"].any()
+        else:
+            assert got["stop"] == "tol"
 
     @pytest.mark.parametrize("case", list(MLP_CASES))
     @pytest.mark.parametrize("seed", range(2))
