@@ -1,10 +1,12 @@
 """Supervised subject-class prediction over encoded feature rows.
 
 Six algorithms, all implemented directly on numpy: one-vs-rest logistic
-regression, one-vs-rest linear SVM (hinge loss), k-nearest neighbors, a
-one-hidden-layer MLP, a CART decision tree, and a random forest. Every fit
-is deterministic for a fixed seed, and every algorithm exposes per-class
-scores; prediction takes the highest.
+regression (FISTA), one-vs-rest linear SVM (hinge loss), k-nearest
+neighbors, a one-hidden-layer MLP, a CART decision tree, and a random
+forest. Every fit is deterministic for a fixed seed, and every algorithm
+exposes per-class scores; prediction takes the highest. The iterative fits
+(logreg, linear SVM, MLP) record the epochs they ran and the rule that
+stopped them; see ``convergence``.
 
 The MLP's Adam step updates its moments and parameters in place, in
 preallocated arrays, with the same floating-point operations in the same
@@ -183,7 +185,6 @@ def _fit_linear_svc(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dic
     W = np.zeros((T.shape[1], d))
     b = np.zeros(T.shape[1])
     histories = []
-    # Per class: the epochs run and why the fit stopped.
     epochs: list[int] = []
     stops: list[str] = []
     sq = (X * X).sum()
