@@ -124,16 +124,21 @@ def logreg_objective(
     n, d = X.shape
     c = T.shape[1]
     W = wb[: c * d].reshape(c, d)
-    b = wb[c * d :]
-    Z = X @ W.T + b
+    Z = X @ W.T + wb[c * d :]
     # log(1+exp(-s z)) with s = ±1 written via logaddexp for stability
     S = 2.0 * T - 1.0
     loss = np.logaddexp(0.0, -S * Z).sum() / n + 0.5 * lam * (W * W).sum()
-    P = _sigmoid(Z)
-    R = (P - T) / n
-    grad_W = R.T @ X + lam * W
-    grad_b = R.sum(axis=0)
-    return float(loss), np.concatenate([grad_W.ravel(), grad_b])
+    return float(loss), _logreg_gradient(wb, X, T, lam)
+
+
+def _logreg_gradient(wb: np.ndarray, X: np.ndarray, T: np.ndarray, lam: float) -> np.ndarray:
+    """The flat gradient of ``logreg_objective``, without its loss."""
+    n, d = X.shape
+    c = T.shape[1]
+    W = wb[: c * d].reshape(c, d)
+    Z = X @ W.T + wb[c * d :]
+    R = (_sigmoid(Z) - T) / n
+    return np.concatenate([(R.T @ X + lam * W).ravel(), R.sum(axis=0)])
 
 
 def _fit_logreg(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dict[str, Any]:
@@ -151,7 +156,7 @@ def _fit_logreg(X: np.ndarray, T: np.ndarray, params: dict[str, Any]) -> dict[st
     t = 1.0
     stop = "max_epochs"
     for epoch in range(1, params["max_epochs"] + 1):
-        _, grad = logreg_objective(y, X, T, lam)
+        grad = _logreg_gradient(y, X, T, lam)
         if np.max(np.abs(grad)) < params["tol"]:
             x, stop = y, "tol"
             break

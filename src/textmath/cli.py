@@ -23,7 +23,7 @@ from . import __version__
 from .classify import ALGOS as CLASSIFIER_ALGOS
 from .classify import ClassifierSpec
 from .cluster import ALGOS as CLUSTERER_ALGOS
-from .cluster import ClusterAssignment, ClustererSpec, dump_assignment, fit_predict_clusterer
+from .cluster import ClustererSpec, dump_assignment, fit_predict_clusterer
 from .corpus import FORMAT_CONTAINERS, Corpus, dump_corpus_jsonl, load_corpus, load_corpus_jsonl
 from .embedding import EmbeddingParams
 from .encode import Channels, EncodingSpec, fit_encoder, parse_encoding_name
@@ -258,16 +258,12 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
     record = {
         "version": __version__,
-        "seed": config.seed,
-        "n_folds": config.n_folds,
-        "corpus_manifest": str(config.corpus_manifest),
+        # Every config field, with the embedding params the run used.
+        **asdict(config),
+        "embedding_params": asdict(emb_params),
         "n_documents": len(corpus.documents),
         "label_set": corpus.label_set,
         "skipped_ids": corpus.skipped_ids,
-        "encodings": config.encodings,
-        "classifiers": [asdict(s) for s in config.classifiers],
-        "clusterers": [asdict(s) for s in config.clusterers],
-        "lexicon": None if config.lexicon is None else asdict(config.lexicon),
         "cell_errors": log.errors,
         "fold_accuracies": log.fold_accuracies,
         "cluster_diagnostics": log.cluster_diagnostics,
@@ -322,30 +318,10 @@ def _run_classification_grid(
             cells[(row_name, col)] = 100.0 * outcome.mean_accuracy
             log.fold_accuracies[cell] = outcome.fold_accuracies
             if outcome.convergence:
-                log.classifier_convergence[cell] = list(outcome.convergence)
+                log.classifier_convergence[cell] = outcome.convergence
             outcome.confusion.to_csv(log.file(f"confusion_{row_name}_{col}.csv"))
             raw_times[col] += outcome.fit_predict_seconds
     return log.write_report("classification", "Classification accuracy [%]", cells, raw_times)
-
-
-def _cluster_summary(assignment: ClusterAssignment) -> dict[str, Any]:
-    """A clustering cell's cluster count and convergence scalars; the
-    histories stay in the assignment sidecar."""
-    diag = assignment.diagnostics
-    summary: dict[str, Any] = {"n_clusters": assignment.n_clusters}
-    algo = assignment.spec.algo
-    if algo == "kmeans":
-        summary["iterations"] = diag["iterations"]
-    elif algo == "gmm":
-        summary["converged"] = diag["converged"]
-        summary["iterations"] = len(diag["loglik_history"]) - 1
-    elif algo == "affinity":
-        summary["converged"] = diag["converged"]
-        summary["iterations"] = diag["iterations"]
-    elif algo == "meanshift":
-        summary["bandwidth"] = diag["bandwidth"]
-        summary["modes"] = diag["modes"]
-    return summary
 
 
 def _run_clustering_grid(
@@ -378,7 +354,16 @@ def _run_clustering_grid(
             else:
                 cells[(enc_name, col)] = 100.0 * macro
                 raw_times[col] += seconds
-                log.cluster_diagnostics[cell] = _cluster_summary(assignment)
+                # The convergence scalars each algo reports; the histories
+                # stay in the assignment sidecar.
+                log.cluster_diagnostics[cell] = {
+                    "n_clusters": assignment.n_clusters,
+                    **{
+                        key: assignment.diagnostics[key]
+                        for key in ("converged", "iterations", "bandwidth", "modes")
+                        if key in assignment.diagnostics
+                    },
+                }
                 name = f"assignments_{enc_name}_{col}.csv"
                 dump_assignment(assignment, log.file(name))
                 log.written.append(name + ".json")

@@ -528,6 +528,7 @@ def fit_predict_clusterer(spec: ClustererSpec, X: EncodedMatrix) -> ClusterAssig
         raw, state = _fit_gmm(features, spec.k, spec.params, start)
         diag = {
             "converged": state["converged"],
+            "iterations": len(state["loglik_history"]) - 1,
             "final_loglik": state["loglik_history"][-1],
             "loglik_history": state["loglik_history"],
         }

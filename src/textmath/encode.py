@@ -342,17 +342,6 @@ def fit_pca(X: np.ndarray, target_dims: int) -> PCA:
     return PCA(mean=mean, components=components, explained_variance=explained)
 
 
-def pca_reduce(m: EncodedMatrix, target_dims: int) -> EncodedMatrix:
-    """Project rows onto the top principal components (descending variance)."""
-    pca = fit_pca(m.features, target_dims)
-    return EncodedMatrix(
-        spec=m.spec,
-        sample_ids=list(m.sample_ids),
-        features=pca.transform(m.features),
-        feature_names=None,
-    )
-
-
 # --- fitted encoder facade -------------------------------------------------
 
 

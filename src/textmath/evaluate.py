@@ -127,15 +127,22 @@ def accuracy_score(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
 # --- cross-validation --------------------------------------------------------------
 
 
-class CrossValidationResult(NamedTuple):
-    mean_accuracy: float
-    fold_accuracies: list[float]
+@dataclass(eq=False)
+class CrossValidationResult:
+    """One classification cell, filled fold by fold by ``score_folds``."""
+
     confusion: ConfusionMatrix
+    fold_accuracies: list[float] = field(default_factory=list)
     # Wall seconds in the classifier's fit and predict calls, summed over folds.
     fit_predict_seconds: float = 0.0
     # Per fold, how an iterative fit ended (``classify.convergence``); empty
     # for the classifiers without one.
-    convergence: Sequence[dict[str, Any]] = ()
+    convergence: list[dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def mean_accuracy(self) -> float:
+        """Unweighted mean of the fold accuracies."""
+        return float(np.mean(self.fold_accuracies))
 
 
 class Fold(NamedTuple):
@@ -190,49 +197,35 @@ def score_folds(
     folds; an exception while building a fold goes to every spec still in.
     No further fold is built once every spec has failed.
     """
-    failures: list[Exception | None] = [None] * len(specs)
-    fold_accuracies: list[list[float]] = [[] for _ in specs]
-    confusions = [ConfusionMatrix.empty(label_set) for _ in specs]
-    seconds = [0.0] * len(specs)
-    fit_records: list[list[dict[str, Any]]] = [[] for _ in specs]
+    results: list[CrossValidationResult | Exception] = [
+        CrossValidationResult(ConfusionMatrix.empty(label_set)) for _ in specs
+    ]
     try:
         for fold in folds:
             y_train = [labels[i] for i in fold.train_idx]
             y_test = [labels[i] for i in fold.test_idx]
             for s, spec in enumerate(specs):
-                if failures[s] is not None:
+                result = results[s]
+                if isinstance(result, Exception):
                     continue
                 try:
                     start = time.perf_counter()
                     model = fit_classifier(spec, fold.X_train, y_train, label_set=label_set)
                     y_pred = predict(model, fold.X_test)
-                    seconds[s] += time.perf_counter() - start
+                    result.fit_predict_seconds += time.perf_counter() - start
                     record = convergence(model)
                     if record is not None:
-                        fit_records[s].append(record)
-                    fold_accuracies[s].append(accuracy_score(y_test, y_pred))
-                    confusions[s].add(y_test, y_pred)
+                        result.convergence.append(record)
+                    result.fold_accuracies.append(accuracy_score(y_test, y_pred))
+                    result.confusion.add(y_test, y_pred)
                 except Exception as exc:  # the cell fails, the other specs go on
-                    failures[s] = exc
+                    results[s] = exc
             del fold  # the next fold is built without this one alive
-            if all(f is not None for f in failures):
+            if all(isinstance(r, Exception) for r in results):
                 break
     except Exception as exc:  # building the fold failed
-        failures = [exc if f is None else f for f in failures]
-    return [
-        failure
-        if failure is not None
-        else CrossValidationResult(
-            mean_accuracy=float(np.mean(accs)),
-            fold_accuracies=accs,
-            confusion=confusion,
-            fit_predict_seconds=secs,
-            convergence=fits,
-        )
-        for failure, accs, confusion, secs, fits in zip(
-            failures, fold_accuracies, confusions, seconds, fit_records
-        )
-    ]
+        results = [r if isinstance(r, Exception) else exc for r in results]
+    return results
 
 
 def cross_validate(
@@ -479,18 +472,14 @@ class EvaluationReport:
         extra = set(self.cells) - {(r, c) for r in self.row_names for c in self.col_names}
         if extra:
             raise RaggedGridError(f"cells outside the declared grid: {sorted(extra)}")
-        self.row_means = {}
-        self.row_maxes = {}
+        self.row_means, self.row_maxes = {}, {}
         for r in self.row_names:
-            vals = [self.cells[(r, c)] for c in self.col_names if self.cells[(r, c)] is not None]
-            self.row_means[r] = float(np.mean(vals)) if vals else None
-            self.row_maxes[r] = float(np.max(vals)) if vals else None
-        self.col_means = {}
-        self.col_maxes = {}
+            values = [self.cells[(r, c)] for c in self.col_names]
+            self.row_means[r], self.row_maxes[r] = _margins(values)
+        self.col_means, self.col_maxes = {}, {}
         for c in self.col_names:
-            vals = [self.cells[(r, c)] for r in self.row_names if self.cells[(r, c)] is not None]
-            self.col_means[c] = float(np.mean(vals)) if vals else None
-            self.col_maxes[c] = float(np.max(vals)) if vals else None
+            values = [self.cells[(r, c)] for r in self.row_names]
+            self.col_means[c], self.col_maxes[c] = _margins(values)
 
     def best_cell(self) -> tuple[str, str] | None:
         best = None
@@ -506,77 +495,57 @@ class EvaluationReport:
             return None
         return min(self.runtimes_percent, key=lambda k: (self.runtimes_percent[k], k))
 
-    @staticmethod
-    def _fmt(v: float | None) -> str:
-        return "" if v is None else f"{v:.6f}"
+    def _table(self) -> list[tuple[str, list[float | None]]]:
+        """The table's lines under its header, as (label, values): each row
+        with its Mean and Max, then the columns' Mean and Max, whose two
+        margin values are None."""
+        lines = [
+            (r, [self.cells[(r, c)] for c in self.col_names] + [self.row_means[r], self.row_maxes[r]])
+            for r in self.row_names
+        ]
+        for label, margin in (("Mean", self.col_means), ("Max", self.col_maxes)):
+            lines.append((label, [margin[c] for c in self.col_names] + [None, None]))
+        return lines
 
     def to_csv(self, path: str | Path) -> None:
         """Deterministic score grid; runtimes are kept out of the CSV so two
         identically seeded runs stay byte-identical."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("encoding," + ",".join(self.col_names) + ",Mean,Max\n")
-            for r in self.row_names:
-                vals = [self._fmt(self.cells[(r, c)]) for c in self.col_names]
-                fh.write(
-                    f"{r},"
-                    + ",".join(vals)
-                    + f",{self._fmt(self.row_means[r])},{self._fmt(self.row_maxes[r])}\n"
-                )
-            fh.write(
-                "Mean," + ",".join(self._fmt(self.col_means[c]) for c in self.col_names) + ",,\n"
-            )
-            fh.write(
-                "Max," + ",".join(self._fmt(self.col_maxes[c]) for c in self.col_names) + ",,\n"
-            )
+        lines = ["encoding," + ",".join(self.col_names) + ",Mean,Max"]
+        for label, values in self._table():
+            lines.append(label + "," + ",".join("" if v is None else f"{v:.6f}" for v in values))
+        Path(path).write_text("\n".join(lines) + "\n", "utf-8", newline="\n")
 
     def to_markdown(self, path: str | Path, title: str | None = None) -> None:
-        path = Path(path)
+        """The table rounded to one decimal, with the best cell in bold and,
+        when there are runtimes, a ``Runtime [%]`` row whose fastest column
+        is in bold."""
+        table = self._table()
+        bold = set()
         best = self.best_cell()
-        fastest = self.fastest_algo()
-        lines = []
-        if title:
-            lines.append(f"# {title}")
-            lines.append("")
+        if best is not None:
+            bold.add((self.row_names.index(best[0]), best[1]))
+        if self.runtimes_percent:
+            runtimes = [self.runtimes_percent.get(c) for c in self.col_names]
+            table.append(("Runtime [%]", runtimes + [None, None]))
+            bold.add((len(table) - 1, self.fastest_algo()))
+        lines = [f"# {title}", ""] if title else []
         lines.append("| Encoding | " + " | ".join(self.col_names) + " | Mean | Max |")
         lines.append("|" + "---|" * (len(self.col_names) + 3))
-        for r in self.row_names:
-            cells = []
-            for c in self.col_names:
-                v = self.cells[(r, c)]
-                text = "" if v is None else f"{v:.1f}"
-                if best == (r, c):
-                    text = f"**{text}**"
-                cells.append(text)
-            mean = "" if self.row_means[r] is None else f"{self.row_means[r]:.1f}"
-            mx = "" if self.row_maxes[r] is None else f"{self.row_maxes[r]:.1f}"
-            lines.append(f"| {r} | " + " | ".join(cells) + f" | {mean} | {mx} |")
-        lines.append(
-            "| Mean | "
-            + " | ".join(
-                "" if self.col_means[c] is None else f"{self.col_means[c]:.1f}"
-                for c in self.col_names
-            )
-            + " |  |  |"
-        )
-        lines.append(
-            "| Max | "
-            + " | ".join(
-                "" if self.col_maxes[c] is None else f"{self.col_maxes[c]:.1f}"
-                for c in self.col_names
-            )
-            + " |  |  |"
-        )
-        if self.runtimes_percent:
-            cells = []
-            for c in self.col_names:
-                v = self.runtimes_percent.get(c)
-                text = "" if v is None else f"{v:.1f}"
-                if c == fastest:
-                    text = f"**{text}**"
-                cells.append(text)
-            lines.append("| Runtime [%] | " + " | ".join(cells) + " |  |  |")
-        path.write_text("\n".join(lines) + "\n", "utf-8")
+        for i, (label, values) in enumerate(table):
+            texts = ["" if v is None else f"{v:.1f}" for v in values]
+            for j, c in enumerate(self.col_names):
+                if (i, c) in bold:
+                    texts[j] = f"**{texts[j]}**"
+            lines.append(f"| {label} | " + " | ".join(texts) + " |")
+        Path(path).write_text("\n".join(lines) + "\n", "utf-8", newline="\n")
+
+
+def _margins(values: list[float | None]) -> tuple[float | None, float | None]:
+    """(mean, max) of the values that are not None; (None, None) if all are."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return None, None
+    return float(np.mean(present)), float(np.max(present))
 
 
 def build_report(

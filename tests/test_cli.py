@@ -3,6 +3,7 @@ import csv
 import json
 import math
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,18 @@ class TestRunExperiment:
                 rerun.output_dir / name
             ).read_bytes()
 
+        def without_runtimes(out, name):
+            lines = (out / name).read_text("utf-8").splitlines(keepends=True)
+            return [line for line in lines if not line.startswith("| Runtime [%] |")]
+
+        markdown = sorted(p.name for p in config.output_dir.glob("report_*.md"))
+        assert markdown == ["report_classification.md", "report_clustering.md"]
+        assert markdown == sorted(p.name for p in rerun.output_dir.glob("report_*.md"))
+        for name in markdown:
+            assert without_runtimes(config.output_dir, name) == without_runtimes(
+                rerun.output_dir, name
+            )
+
     def test_cell_failure_leaves_other_columns_intact(self, tmp_path):
         config = load_experiment_config(
             write_config(
@@ -455,6 +468,17 @@ class TestClassificationGrid:
             row, col = cell.split("/")
             assert len(accuracies) == config.n_folds
             assert f"{100.0 * np.mean(accuracies):.6f}" == grid[row][col]
+
+    def test_record_holds_the_config_and_the_embedding_params_used(self, lexicon_grid):
+        from textmath.embedding import EmbeddingParams
+
+        config, _ = lexicon_grid[0]
+        record = json.loads((config.output_dir / "run_record.json").read_text())
+        assert {f.name for f in fields(ExperimentConfig)} <= set(record)
+        assert record["output_dir"] == str(config.output_dir)
+        assert EmbeddingParams(**record["embedding_params"]) == EmbeddingParams(
+            **{"seed": config.seed, **config.embedding_params}
+        )
 
     def test_record_holds_every_iterative_fits_convergence(self, tmp_path):
         """One entry per fold for every logreg, linear_svc and mlp cell, and
@@ -703,11 +727,11 @@ def cluster_grid(tmp_path_factory):
 
 class TestClusteringGrid:
     SCALARS = {
-        "kmeans": {"iterations"},
-        "agglomerative": set(),
-        "gmm": {"converged", "iterations"},
-        "affinity": {"converged", "iterations"},
-        "meanshift": {"bandwidth", "modes"},
+        "kmeans": ("iterations",),
+        "agglomerative": (),
+        "gmm": ("converged", "iterations"),
+        "affinity": ("converged", "iterations"),
+        "meanshift": ("bandwidth", "modes"),
     }
 
     def test_record_holds_every_cells_diagnostics(self, cluster_grid):
@@ -719,10 +743,13 @@ class TestClusteringGrid:
             path = config.output_dir / f"assignments_{row}_{col}.csv"
             with path.open(encoding="utf-8", newline="") as fh:
                 ids = {line["cluster_id"] for line in csv.DictReader(fh)}
-            sidecar = json.loads(path.with_suffix(".csv.json").read_text())["diagnostics"]
+            sidecar = json.loads(path.with_suffix(".csv.json").read_text())
+            diag = sidecar["diagnostics"]
+            assert sidecar["n_clusters"] == len(ids)
+            assert list(cell) == ["n_clusters", *self.SCALARS[col]]
+            assert cell == {"n_clusters": len(ids), **{k: diag[k] for k in self.SCALARS[col]}}
             if col == "gmm":
-                sidecar["iterations"] = len(sidecar["loglik_history"]) - 1
-            assert cell == {"n_clusters": len(ids), **{k: sidecar[k] for k in self.SCALARS[col]}}
+                assert diag["iterations"] == len(diag["loglik_history"]) - 1
 
     def test_failed_cell_has_no_diagnostics(self, tmp_path):
         config = load_experiment_config(

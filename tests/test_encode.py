@@ -23,7 +23,6 @@ from textmath import (
     fit_pca,
     fit_tfidf,
     parse_encoding_name,
-    pca_reduce,
     token_stream,
     transform_tfidf,
 )
@@ -362,12 +361,6 @@ class TestPca:
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
             fit_pca(np.ones((5, 3)), 1)
-
-    def test_pca_reduce_shapes(self):
-        m = make_matrix(np.random.default_rng(1).normal(size=(8, 5)))
-        out = pca_reduce(m, 2)
-        assert out.features.shape == (8, 2)
-        assert out.sample_ids == m.sample_ids
 
 
 class TestFittedEncoder:

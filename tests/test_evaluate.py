@@ -458,6 +458,41 @@ class TestReport:
         assert "| Runtime [%] | 100.0 | **40.0** |" in text
         assert "**20.0**" in text
 
+    def test_csv_and_markdown_text(self, tmp_path):
+        """The full text of both tables for a 2 x 3 grid with an empty cell
+        and a runtime row that lacks one column."""
+        rep = build_report(
+            {
+                ("e1", "a1"): 10.0,
+                ("e1", "a2"): None,
+                ("e1", "a3"): 30.0,
+                ("e2", "a1"): 40.0,
+                ("e2", "a2"): 25.5,
+                ("e2", "a3"): 60.0,
+            },
+            runtimes={"a1": 100.0, "a3": 12.5},
+        )
+        rep.to_csv(tmp_path / "report.csv")
+        rep.to_markdown(tmp_path / "report.md", title="Scores")
+        assert (tmp_path / "report.csv").read_bytes() == (
+            b"encoding,a1,a2,a3,Mean,Max\n"
+            b"e1,10.000000,,30.000000,20.000000,30.000000\n"
+            b"e2,40.000000,25.500000,60.000000,41.833333,60.000000\n"
+            b"Mean,25.000000,25.500000,45.000000,,\n"
+            b"Max,40.000000,25.500000,60.000000,,\n"
+        )
+        assert (tmp_path / "report.md").read_bytes() == (
+            b"# Scores\n"
+            b"\n"
+            b"| Encoding | a1 | a2 | a3 | Mean | Max |\n"
+            b"|---|---|---|---|---|---|\n"
+            b"| e1 | 10.0 |  | 30.0 | 20.0 | 30.0 |\n"
+            b"| e2 | 40.0 | 25.5 | **60.0** | 41.8 | 60.0 |\n"
+            b"| Mean | 25.0 | 25.5 | 45.0 |  |  |\n"
+            b"| Max | 40.0 | 25.5 | 60.0 |  |  |\n"
+            b"| Runtime [%] | 100.0 |  | **12.5** |  |  |\n"
+        )
+
 
 @pytest.fixture(scope="module")
 def small_corpus():
